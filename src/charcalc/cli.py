@@ -29,6 +29,7 @@ from .exactring import (
     format_rational,
     graded_component,
     parse_poly,
+    parse_rational,
     poly_arith,
     poly_pow,
 )
@@ -96,8 +97,10 @@ def _parse_space(text: str) -> RingPresentation:
         dims = _parse_int_list(spec[len("sphere:"):], "--space")
         return flagcoh.sphere_product_ring(dims)
     if spec.startswith("cpn:"):
-        n = _parse_int_list(spec[len("cpn:"):], "--space")[0]
-        return _projective_space(n)
+        dims = _parse_int_list(spec[len("cpn:"):], "--space")
+        if len(dims) != 1:
+            raise InvalidInputError("--space: cpn takes exactly one integer")
+        return _projective_space(dims[0])
     if spec.startswith("cp") and spec[2:].isdigit():
         return _projective_space(int(spec[2:]))
     if spec.startswith("gr:"):
@@ -351,7 +354,10 @@ def _alpha_pairing(pres: RingPresentation, text: str) -> dict[str, Fraction]:
         if "=" not in piece:
             raise InvalidInputError("--alpha: expected 'line' or name=value pairs")
         name, _, value = piece.partition("=")
-        pairing[name.strip()] = Fraction(value.strip())
+        try:
+            pairing[name.strip()] = parse_rational(value)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"--alpha: {exc}") from exc
     return pairing
 
 
@@ -378,7 +384,9 @@ def _cmd_obstruct(args) -> tuple[dict, int]:
     if args.cls is not None:
         c = parse_poly(pres.ring, args.cls)
     else:
-        name = next(name for name, value in pairing.items() if value)
+        name = next((name for name, value in pairing.items() if value), None)
+        if name is None:
+            raise InvalidInputError("--alpha: the pairing functional is identically zero")
         c = pres.ring.gen(name)
     data = obstruction.ObstructionInput(pres, pairing, c)
     if args.obstruct_op == "square":
@@ -717,7 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact characteristic-class calculator",
     )
     parser.add_argument("--output", choices=("json", "text"), default="json")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized drivers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_poly = sub.add_parser("poly", help="polynomial arithmetic in a declared ring")
@@ -830,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _allow_global_flags_anywhere(parser: argparse.ArgumentParser) -> None:
-    """Let --output and --seed appear after the subcommand as well.
+    """Let --output appear after the subcommand as well.
 
     SUPPRESS keeps an unused subparser occurrence from clobbering a value
     parsed at the top level.
@@ -841,7 +848,6 @@ def _allow_global_flags_anywhere(parser: argparse.ArgumentParser) -> None:
                 child.add_argument(
                     "--output", choices=("json", "text"), default=argparse.SUPPRESS
                 )
-                child.add_argument("--seed", type=int, default=argparse.SUPPRESS)
                 _allow_global_flags_anywhere(child)
 
 

@@ -18,7 +18,7 @@ from .exactring import (
     Monomial,
     RingPresentation,
 )
-from .flagcoh import basis_monomials
+from .flagcoh import _row_reduce, basis_monomials
 
 __all__ = [
     "DegreeBasis",
@@ -56,43 +56,12 @@ def degree_basis(pres: RingPresentation, d: int) -> DegreeBasis:
     return DegreeBasis(d, tuple(basis_monomials(pres, d)))
 
 
-def _coordinates(
-    p: GradedPoly, basis: Sequence[Monomial]
-) -> list[Fraction]:
-    index = {m: j for j, m in enumerate(basis)}
-    vector = [Fraction(0)] * len(basis)
-    for monomial, coeff in p.terms.items():
-        if monomial not in index:
-            raise InvalidInputError("polynomial leaves the expected degree component")
-        vector[index[monomial]] = coeff
-    return vector
-
-
-def _in_span(vectors: list[list[Fraction]], target: list[Fraction]) -> bool:
-    """Exact membership of target in the row span, by elimination."""
-    width = len(target)
-    pivots: dict[int, list[Fraction]] = {}
-    for row in vectors:
-        current = list(row)
-        for col in range(width):
-            value = current[col]
-            if not value:
-                continue
-            if col in pivots:
-                current = [a - value * b for a, b in zip(current, pivots[col])]
-            else:
-                inv = Fraction(1) / value
-                pivots[col] = [a * inv for a in current]
-                break
-    current = list(target)
-    for col in range(width):
-        value = current[col]
-        if not value:
-            continue
-        if col not in pivots:
-            return False
-        current = [a - value * b for a, b in zip(current, pivots[col])]
-    return all(not v for v in current)
+def _sparse_row(p: GradedPoly, index: Mapping[Monomial, int]) -> dict[int, Fraction]:
+    """Coordinates of ``p`` as a sparse row ``{column: coefficient}``."""
+    try:
+        return {index[monomial]: coeff for monomial, coeff in p.terms.items()}
+    except KeyError:
+        raise InvalidInputError("polynomial leaves the expected degree component") from None
 
 
 def ideal_membership(
@@ -112,9 +81,9 @@ def ideal_membership(
     if reduced.is_zero():
         return True
     d = reduced.homogeneous_degree()
-    basis = basis_monomials(pres, d)
-    target = _coordinates(reduced, basis)
-    rows: list[list[Fraction]] = []
+    index = {m: j for j, m in enumerate(basis_monomials(pres, d))}
+    target = _sparse_row(reduced, index)
+    rows: list[dict[int, Fraction]] = []
     for g in gens:
         if g.ring != pres.ring:
             raise InvalidInputError("ideal generator in a different ring")
@@ -130,8 +99,15 @@ def ideal_membership(
             product = pres.normal_form(
                 g_reduced * GradedPoly(pres.ring, {multiplier: Fraction(1)})
             )
-            rows.append(_coordinates(product, basis))
-    return _in_span(rows, target)
+            rows.append(_sparse_row(product, index))
+    # Pivot rows are in reduced echelon form, so target lies in their span
+    # exactly when subtracting target[p] * pivots[p] for each pivot p clears it.
+    pivots = _row_reduce(rows)
+    residual = dict(target)
+    for col in target.keys() & pivots.keys():
+        for j, b in pivots[col].items():
+            residual[j] = residual.get(j, Fraction(0)) - target[col] * b
+    return not any(residual.values())
 
 
 @dataclass(frozen=True)
@@ -236,31 +212,15 @@ def hard_lefschetz_check(pres: RingPresentation, a: GradedPoly, n: int) -> bool:
             return False
         if not source:
             continue
+        index = {m: j for j, m in enumerate(targetb)}
         power = pres.normal_form(a ** k)
         rows = []
         for monomial in source:
             image = pres.normal_form(
                 power * GradedPoly(pres.ring, {monomial: Fraction(1)})
             )
-            rows.append(_coordinates(image, targetb))
-        if not _full_rank(rows):
+            rows.append(_sparse_row(image, index))
+        if len(_row_reduce(rows)) != len(rows):
             return False
     return True
 
-
-def _full_rank(rows: list[list[Fraction]]) -> bool:
-    width = len(rows[0]) if rows else 0
-    pivots: dict[int, list[Fraction]] = {}
-    for row in rows:
-        current = list(row)
-        for col in range(width):
-            value = current[col]
-            if not value:
-                continue
-            if col in pivots:
-                current = [a - value * b for a, b in zip(current, pivots[col])]
-            else:
-                inv = Fraction(1) / value
-                pivots[col] = [a * inv for a in current]
-                break
-    return len(pivots) == len(rows)

@@ -10,6 +10,8 @@ spherical generators.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -125,12 +127,18 @@ def monomial_symmetric(I: Partition, v: int, ring: GradedRing | None = None) -> 
     ambient = ring if ring is not None else variable_ring(v)
     if ambient.ngens != v:
         raise InvalidInputError("ring does not have the declared number of variables")
-    padded = I.parts + (0,) * (v - len(I))
-    terms: dict[Monomial, Fraction] = {}
-    for assignment in set(itertools.permutations(padded)):
-        monomial = Monomial.make({i: e for i, e in enumerate(assignment) if e})
-        terms[monomial] = Fraction(1)
-    return GradedPoly(ambient, terms)
+    # Each distinct part value goes on a set of still-free positions, so the
+    # work is proportional to the orbit, not to v!.
+    assignments: list[dict[int, int]] = [{}]
+    for value, count in Counter(I.parts).items():
+        assignments = [
+            {**assigned, **dict.fromkeys(chosen, value)}
+            for assigned in assignments
+            for chosen in itertools.combinations(
+                [i for i in range(v) if i not in assigned], count
+            )
+        ]
+    return GradedPoly(ambient, {Monomial.make(a): Fraction(1) for a in assignments})
 
 
 def elementary(k: int, v: int, ring: GradedRing | None = None) -> GradedPoly:
@@ -169,7 +177,9 @@ def _check_symmetric(p: GradedPoly, v: int) -> None:
             counts[shape] = 1
     for shape, count in counts.items():
         padded = shape.parts + (0,) * (v - len(shape))
-        orbit = len(set(itertools.permutations(padded)))
+        orbit = math.factorial(v) // math.prod(
+            math.factorial(m) for m in Counter(padded).values()
+        )
         if count != orbit:
             raise SymmetryError(f"orbit of shape {shape} is incomplete")
 

@@ -141,12 +141,23 @@ def test_validation_exit_codes(capsys):
     assert "--weights" in err
     code, _, err = run_cli(capsys, "flag", "--dims", "1,2", "--emit", "dims")
     assert code == 2
+    for argv, flag in (
+        (("obstruct", "square", "--space", "cpn:"), "--space"),
+        (("obstruct", "square", "--space", "cp2", "--alpha", "c=abc"), "--alpha"),
+        (("obstruct", "square", "--space", "cp2", "--alpha", "c=1/0"), "--alpha"),
+        (("obstruct", "square", "--space", "cp2", "--alpha", "c=0"), "--alpha"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert flag in err
 
 
 def test_unknown_flags_rejected(capsys):
     code, _, _ = run_cli(capsys, "chern", "--expr", "E4", "--k", "4", "--bogus", "1")
     assert code == 2
     code, _, _ = run_cli(capsys, "nosuchcommand")
+    assert code == 2
+    code, _, _ = run_cli(capsys, "--seed", "1", "paper")
     assert code == 2
 
 

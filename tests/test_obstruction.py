@@ -8,6 +8,7 @@ from charcalc.exactring import (
     monomials_of_degree,
 )
 from charcalc.flagcoh import (
+    _row_reduce,
     flag_presentation,
     grassmannian_presentation,
     point_presentation,
@@ -85,6 +86,38 @@ def test_membership_requires_homogeneous():
         ideal_membership(c + c ** 2, [c], pres)
 
 
+def dense_pivots(rows, width):
+    """Oracle: forward elimination on dense rows; pivot column -> normalized row."""
+    pivots = {}
+    for row in rows:
+        current = list(row)
+        for col in range(width):
+            if not current[col]:
+                continue
+            if col in pivots:
+                factor = current[col]
+                current = [a - factor * b for a, b in zip(current, pivots[col])]
+            else:
+                inv = Fraction(1) / current[col]
+                pivots[col] = [a * inv for a in current]
+                break
+    return pivots
+
+
+def dense_in_span(rows, target):
+    """Oracle: is the dense target in the row span of the dense rows?"""
+    pivots = dense_pivots(rows, len(target))
+    current = list(target)
+    for col in range(len(target)):
+        if not current[col]:
+            continue
+        if col not in pivots:
+            return False
+        factor = current[col]
+        current = [a - factor * b for a, b in zip(current, pivots[col])]
+    return not any(current)
+
+
 def brute_force_membership(z, gens, pres):
     """Oracle: enumerate products against all monomials and eliminate densely."""
     reduced = pres.normal_form(z)
@@ -108,29 +141,7 @@ def brute_force_membership(z, gens, pres):
         for multiplier in monomials_of_degree(pres.ring, d - e):
             product = pres.normal_form(g * GradedPoly(pres.ring, {multiplier: 1}))
             rows.append(vector(product))
-    target = vector(reduced)
-    pivots = {}
-    for row in rows:
-        current = list(row)
-        for col in range(len(columns)):
-            if not current[col]:
-                continue
-            if col in pivots:
-                factor = current[col]
-                current = [a - factor * b for a, b in zip(current, pivots[col])]
-            else:
-                inv = Fraction(1) / current[col]
-                pivots[col] = [a * inv for a in current]
-                break
-    current = list(target)
-    for col in range(len(columns)):
-        if not current[col]:
-            continue
-        if col not in pivots:
-            return False
-        factor = current[col]
-        current = [a - factor * b for a, b in zip(current, pivots[col])]
-    return not any(current)
+    return dense_in_span(rows, vector(reduced))
 
 
 def test_membership_agrees_with_brute_force(rng):
@@ -141,6 +152,63 @@ def test_membership_agrees_with_brute_force(rng):
     for z in candidates:
         for gens in gen_choices:
             assert ideal_membership(z, gens, pres) == brute_force_membership(z, gens, pres)
+
+
+def random_dense_matrix(rng, height, width):
+    """Dense rows of mostly-zero Fractions, with some repeated, zero and combined rows."""
+    rows = []
+    for _ in range(height):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.25:
+            rows.append([Fraction(0)] * width)
+        elif len(rows) >= 2 and kind < 0.35:
+            a, b = rng.sample(rows, 2)
+            t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            rows.append([x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.3
+                else Fraction(0)
+                for _ in range(width)
+            ])
+    return rows
+
+
+def test_row_reduce_agrees_with_dense_oracle(rng):
+    # In a product of two-spheres the degree-2 component has the generators
+    # as its basis, and a linear generator has only the multiplier 1, so
+    # ideal membership there is exactly span membership of coefficient rows.
+    spheres = {}
+    for _ in range(150):
+        height, width = rng.randint(0, 12), rng.randint(1, 12)
+        rows = random_dense_matrix(rng, height, width)
+        sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
+        pivots = _row_reduce(sparse)
+        assert len(pivots) == len(dense_pivots(rows, width))
+        for col, row in pivots.items():
+            assert row[col] == 1
+            assert all(not row.get(other) for other in pivots if other != col)
+
+        if width not in spheres:
+            spheres[width] = sphere_product_ring([2] * width)
+        pres = spheres[width]
+        ring = pres.ring
+        columns = degree_basis(pres, 2).monomials
+
+        def linear(vector):
+            return GradedPoly(ring, {m: a for m, a in zip(columns, vector)})
+
+        if rows and rng.random() < 0.5:
+            target = [Fraction(0)] * width
+            for row in rows:
+                t = Fraction(rng.randint(-2, 2))
+                target = [x + t * y for x, y in zip(target, row)]
+        else:
+            target = [Fraction(rng.randint(-2, 2)) for _ in range(width)]
+        gens = [linear(row) for row in rows]
+        assert ideal_membership(linear(target), gens, pres) == dense_in_span(rows, target)
 
 
 # -- the square and cube criteria ------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charcalc.exactring import InvalidInputError, parse_poly
+from charcalc.exactring import GradedPoly, InvalidInputError, Monomial, parse_poly
 from charcalc.symfun import (
     ArityError,
     Partition,
@@ -140,6 +140,30 @@ def test_round_trip_random_symmetric(seed):
         poly = poly + monomial_symmetric(shape, v).scale(coeff)
     elem = to_elementary(poly, v)
     assert elem.expand() == poly
+
+
+def test_orbits_match_permutation_oracle(rng):
+    # oracle: the orbit as the distinct permutations of the zero-padded shape
+    for v in range(1, 7):
+        ring = variable_ring(v)
+        for shape in [Partition(())] + partitions_up_to(5, v):
+            padded = shape.parts + (0,) * (v - len(shape))
+            orbit = {
+                Monomial.make({i: e for i, e in enumerate(assignment) if e})
+                for assignment in set(itertools.permutations(padded))
+            }
+            poly = monomial_symmetric(shape, v)
+            assert set(poly.terms) == orbit
+            assert all(c == 1 for c in poly.terms.values())
+            coeff = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            whole = GradedPoly(ring, dict.fromkeys(orbit, coeff))
+            assert to_monomial_basis(whole).coeffs == {shape: coeff}
+            if len(orbit) > 1:
+                partial = dict.fromkeys(orbit, coeff)
+                del partial[rng.choice(sorted(orbit, key=lambda m: m.exps))]
+                with pytest.raises(SymmetryError):
+                    to_monomial_basis(GradedPoly(ring, partial))
+    assert len(monomial_symmetric(Partition.of(2, 1), 12).terms) == 132
 
 
 def test_to_elementary_linear(rng):
