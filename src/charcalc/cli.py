@@ -341,11 +341,11 @@ def _cmd_equi(args) -> tuple[dict, int]:
 
 
 def _alpha_pairing(pres: RingPresentation, text: str) -> dict[str, Fraction]:
+    degree_two = [
+        name for name, degree in zip(pres.ring.generators, pres.ring.degrees)
+        if degree == 2
+    ]
     if text.strip() == "line":
-        degree_two = [
-            name for name, degree in zip(pres.ring.generators, pres.ring.degrees)
-            if degree == 2
-        ]
         if not degree_two:
             raise InvalidInputError("--alpha: space has no degree-2 generator")
         return {degree_two[0]: Fraction(1)}
@@ -354,11 +354,26 @@ def _alpha_pairing(pres: RingPresentation, text: str) -> dict[str, Fraction]:
         if "=" not in piece:
             raise InvalidInputError("--alpha: expected 'line' or name=value pairs")
         name, _, value = piece.partition("=")
+        name = name.strip()
+        if name not in pres.ring.generators:
+            raise InvalidInputError(f"--alpha: unknown generator {name!r}")
+        if name not in degree_two:
+            raise InvalidInputError(f"--alpha: {name!r} is not a degree-2 generator")
         try:
-            pairing[name.strip()] = parse_rational(value)
+            pairing[name] = parse_rational(value)
         except InvalidInputError as exc:
             raise InvalidInputError(f"--alpha: {exc}") from exc
     return pairing
+
+
+def _degree_two_class(pres: RingPresentation, text: str) -> GradedPoly:
+    try:
+        c = parse_poly(pres.ring, text)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"--class: {exc}") from exc
+    if c.is_zero() or not c.is_homogeneous() or c.homogeneous_degree() != 2:
+        raise InvalidInputError("--class: must be homogeneous of degree 2")
+    return c
 
 
 def _cmd_obstruct(args) -> tuple[dict, int]:
@@ -377,12 +392,12 @@ def _cmd_obstruct(args) -> tuple[dict, int]:
     if args.obstruct_op == "hl":
         if pres.top_degree is None:
             raise InvalidInputError("--space: presentation has no recorded top degree")
-        a = parse_poly(pres.ring, args.cls)
+        a = _degree_two_class(pres, args.cls)
         holds = obstruction.hard_lefschetz_check(pres, a, pres.top_degree // 2)
         return {"criterion": holds, "half_top_degree": pres.top_degree // 2}, 0
     pairing = _alpha_pairing(pres, args.alpha)
     if args.cls is not None:
-        c = parse_poly(pres.ring, args.cls)
+        c = _degree_two_class(pres, args.cls)
     else:
         name = next((name for name, value in pairing.items() if value), None)
         if name is None:

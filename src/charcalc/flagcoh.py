@@ -12,7 +12,8 @@ relations is row-reduced against the graded-lex monomial order, and each
 pivot not already covered by a lower-degree rule becomes a rule.  The result
 is a terminating, confluent system on the finitely many degrees that matter
 (everything above the top degree reduces to zero), without any general-purpose
-Groebner machinery.
+Groebner machinery.  The elimination clears denominators and runs over the
+integers, fraction-free; only the finished rows become ``Fraction`` rows.
 """
 
 from __future__ import annotations
@@ -220,27 +221,21 @@ def _rref_rules(
 
 
 def _row_reduce(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Exact reduced row echelon form on sparse rows; pivot column -> row."""
-    pivots: dict[int, dict[int, Fraction]] = {}
+    """Exact reduced row echelon form on sparse rows; pivot column -> row.
+
+    Each row is cleared of denominators and eliminated over the integers; the
+    rows are divided by their leading entries only once, at the end.
+    """
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        current = dict(row)
+        scale = math.lcm(*(c.denominator for c in row.values()))
+        current = {j: c.numerator * (scale // c.denominator) for j, c in row.items()}
         while current:
             col = min(current)
-            value = current[col]
-            if col in pivots:
-                del current[col]
-                for j, b in pivots[col].items():
-                    if j == col:
-                        continue
-                    updated = current.get(j, Fraction(0)) - value * b
-                    if updated:
-                        current[j] = updated
-                    else:
-                        current.pop(j, None)
-            else:
-                inv = Fraction(1) / value
-                pivots[col] = {j: c * inv for j, c in current.items()}
+            if col not in pivots:
+                pivots[col] = _make_primitive(current, col)
                 break
+            _eliminate(current, pivots[col], col)
     # back-substitute so every pivot row is reduced against the others
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
@@ -248,19 +243,47 @@ def _row_reduce(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction
             if other_col >= col:
                 break
             other = pivots[other_col]
-            value = other.get(col)
-            if not value:
-                continue
-            del other[col]
-            for j, b in row.items():
-                if j == col:
-                    continue
-                updated = other.get(j, Fraction(0)) - value * b
-                if updated:
-                    other[j] = updated
-                else:
-                    other.pop(j, None)
-    return pivots
+            if col in other:
+                _eliminate(other, row, col)
+                _make_primitive(other, other_col)
+    return {
+        col: {j: Fraction(c, row[col]) for j, c in row.items()}
+        for col, row in pivots.items()
+    }
+
+
+def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> None:
+    """Clear ``row[col]`` in place: row <- (b/g)*row - (a/g)*pivot.
+
+    Here ``a = row[col]``, ``b = pivot[col]`` and ``g = gcd(a, b)``, so the
+    result stays integral; pivot rows lead with ``b > 0``, so a pivot row
+    being back-substituted keeps a positive leading entry.
+    """
+    a, b = row.pop(col), pivot[col]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    if b != 1:
+        for j in row:
+            row[j] *= b
+    for j, p in pivot.items():
+        if j == col:
+            continue
+        updated = row.get(j, 0) - a * p
+        if updated:
+            row[j] = updated
+        else:
+            row.pop(j, None)
+
+
+def _make_primitive(row: dict[int, int], col: int) -> dict[int, int]:
+    """Divide a row by the gcd of its entries, making ``row[col]`` positive."""
+    g = math.gcd(*row.values())
+    if row[col] < 0:
+        g = -g
+    if g != 1:
+        for j in row:
+            row[j] //= g
+    return row
 
 
 def basis_monomials(pres: RingPresentation, degree: int) -> list[Monomial]:

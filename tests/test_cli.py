@@ -146,6 +146,12 @@ def test_validation_exit_codes(capsys):
         (("obstruct", "square", "--space", "cp2", "--alpha", "c=abc"), "--alpha"),
         (("obstruct", "square", "--space", "cp2", "--alpha", "c=1/0"), "--alpha"),
         (("obstruct", "square", "--space", "cp2", "--alpha", "c=0"), "--alpha"),
+        (("obstruct", "square", "--space", "cp2", "--alpha", "zz=1"), "--alpha"),
+        (("obstruct", "square", "--space", "cp2", "--alpha", "=1"), "--alpha"),
+        (("obstruct", "cube", "--space", "gr:2,2", "--alpha", "y2=1"), "--alpha"),
+        (("obstruct", "cube", "--space", "gr:2,2", "--class", "y2"), "--class"),
+        (("obstruct", "square", "--space", "gr:2,2", "--class", "zz"), "--class"),
+        (("obstruct", "hl", "--space", "gr:2,2", "--class", "y1^2"), "--class"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2

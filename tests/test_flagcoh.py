@@ -10,9 +10,11 @@ from charcalc.exactring import (
     monomials_of_degree,
     parse_poly,
 )
+from charcalc import flagcoh
 from charcalc.flagcoh import (
     FlagSpec,
     SphereProductSpec,
+    _rref_rules,
     basis_monomials,
     dimension_vector,
     fiber_integrate,
@@ -26,6 +28,7 @@ from charcalc.flagcoh import (
 )
 
 from conftest import random_poly
+from test_obstruction import fraction_row_reduce
 
 
 def quotient_dims_oracle(pres, degree):
@@ -157,6 +160,80 @@ def test_flag_matches_oracle_and_multinomial():
     assert sum(dims) == FlagSpec((2, 1, 1)).multinomial() == 12
     for degree in range(0, pres.top_degree + 3, 2):
         assert len(basis_monomials(pres, degree)) == quotient_dims_oracle(pres, degree)
+
+
+def q_multinomial(dims):
+    """Oracle: coefficients of [l]!_q / prod [m_i]!_q, by integer polynomial arithmetic."""
+
+    def multiply(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def q_factorial(n):
+        out = [1]
+        for i in range(1, n + 1):
+            out = multiply(out, [1] * i)
+        return out
+
+    quotient = q_factorial(sum(dims))
+    for m in dims:
+        divisor = q_factorial(m)  # monic, constant term 1
+        remainder = list(quotient)
+        out = [0] * (len(quotient) - len(divisor) + 1)
+        for i in reversed(range(len(out))):
+            out[i] = remainder[i + len(divisor) - 1]
+            for j, c in enumerate(divisor):
+                remainder[i + j] -= out[i] * c
+        assert not any(remainder)
+        quotient = out
+    return quotient
+
+
+def weakly_decreasing_compositions(total, largest):
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in weakly_decreasing_compositions(total - first, first):
+            yield (first,) + rest
+
+
+def test_dimension_vectors_match_q_multinomial():
+    assert q_multinomial((2, 2)) == [1, 1, 2, 1, 1]
+    for m in range(1, 5):
+        for k in range(1, 5):
+            pres = grassmannian_presentation(m, k)
+            assert dimension_vector(pres) == q_multinomial((m, k)), (m, k)
+    flags = [
+        dims
+        for total in range(1, 6)
+        for dims in weakly_decreasing_compositions(total, total)
+    ]
+    for dims in flags + [(2, 2, 2)]:
+        assert dimension_vector(flag_presentation(dims)) == q_multinomial(dims), dims
+
+
+def test_completion_matches_fraction_kernel(monkeypatch):
+    spaces = [
+        grassmannian_presentation(2, 2),
+        grassmannian_presentation(3, 3),
+        grassmannian_presentation(2, 4),
+        flag_presentation((2, 1, 1)),
+        flag_presentation((1, 1, 1, 1)),
+        flag_presentation((3, 2, 1)),
+    ]
+    for pres in spaces:
+        shipped = _rref_rules(pres.ring, pres.relations, pres.top_degree)
+        with monkeypatch.context() as patch:
+            patch.setattr(flagcoh, "_row_reduce", fraction_row_reduce)
+            oracle = _rref_rules(pres.ring, pres.relations, pres.top_degree)
+        assert list(shipped) == list(oracle) == list(pres.rules)
+        assert [str(rhs) for rhs in shipped.values()] == [
+            str(rhs) for rhs in oracle.values()
+        ]
 
 
 def test_flag_spec_validation():

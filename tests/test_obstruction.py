@@ -118,6 +118,50 @@ def dense_in_span(rows, target):
     return not any(current)
 
 
+def fraction_row_reduce(rows):
+    """Oracle: the reduced row echelon form computed over Fractions throughout."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        current = dict(row)
+        while current:
+            col = min(current)
+            value = current[col]
+            if col in pivots:
+                del current[col]
+                for j, b in pivots[col].items():
+                    if j == col:
+                        continue
+                    updated = current.get(j, Fraction(0)) - value * b
+                    if updated:
+                        current[j] = updated
+                    else:
+                        current.pop(j, None)
+            else:
+                inv = Fraction(1) / value
+                pivots[col] = {j: c * inv for j, c in current.items()}
+                break
+    # back-substitute so every pivot row is reduced against the others
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        for other_col in sorted(pivots):
+            if other_col >= col:
+                break
+            other = pivots[other_col]
+            value = other.get(col)
+            if not value:
+                continue
+            del other[col]
+            for j, b in row.items():
+                if j == col:
+                    continue
+                updated = other.get(j, Fraction(0)) - value * b
+                if updated:
+                    other[j] = updated
+                else:
+                    other.pop(j, None)
+    return pivots
+
+
 def brute_force_membership(z, gens, pres):
     """Oracle: enumerate products against all monomials and eliminate densely."""
     reduced = pres.normal_form(z)
@@ -186,6 +230,7 @@ def test_row_reduce_agrees_with_dense_oracle(rng):
         rows = random_dense_matrix(rng, height, width)
         sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
         pivots = _row_reduce(sparse)
+        assert_same_pivots(pivots, fraction_row_reduce(sparse))
         assert len(pivots) == len(dense_pivots(rows, width))
         for col, row in pivots.items():
             assert row[col] == 1
@@ -209,6 +254,55 @@ def test_row_reduce_agrees_with_dense_oracle(rng):
             target = [Fraction(rng.randint(-2, 2)) for _ in range(width)]
         gens = [linear(row) for row in rows]
         assert ideal_membership(linear(target), gens, pres) == dense_in_span(rows, target)
+
+
+def assert_same_pivots(got, expected):
+    assert got == expected
+    assert all(type(c) is Fraction for row in got.values() for c in row.values())
+
+
+def test_row_reduce_matches_fraction_kernel_on_large_entries(rng):
+    # entries p/q with |p|, q up to 2^40 exercise the denominator and content gcds
+    for _ in range(60):
+        height, width = rng.randint(1, 8), rng.randint(1, 8)
+        rows = []
+        for _ in range(height):
+            if rows and rng.random() < 0.2:
+                rows.append(dict(rng.choice(rows)))
+                continue
+            row = {}
+            for j in range(width):
+                if rng.random() < 0.5:
+                    bits = rng.choice((3, 20, 40))
+                    p = rng.randint(-(2 ** bits), 2 ** bits)
+                    if p:
+                        row[j] = Fraction(p, rng.randint(1, 2 ** bits))
+            rows.append(row)
+        assert_same_pivots(_row_reduce(rows), fraction_row_reduce(rows))
+
+
+def test_row_reduce_matches_fraction_kernel_on_edge_cases():
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+    cases = [
+        [],
+        [{}],
+        [{}, {}, {}],
+        [{0: half, 2: third}, {0: half, 2: third}],
+        [{1: third}, {}, {1: third}, {0: half, 1: half}],
+        [{0: Fraction(2), 1: Fraction(-4)}, {0: Fraction(3), 2: Fraction(6)}],
+        [{0: 2, 1: -4, 3: 6}, {1: 3, 2: 9}, {0: -5, 3: 1}],
+        [{0: 6, 1: 4}, {0: 9, 1: 6}],
+    ]
+    for rows in cases:
+        assert_same_pivots(_row_reduce(rows), fraction_row_reduce(rows))
+    assert _row_reduce([]) == {}
+    assert _row_reduce([{}, {}]) == {}
+    # by hand: the row space is the orthogonal complement of (1/5, 8/5, -8/15, 1)
+    assert _row_reduce([{0: 2, 1: -4, 3: 6}, {1: 3, 2: 9}, {0: -5, 3: 1}]) == {
+        0: {0: 1, 3: Fraction(-1, 5)},
+        1: {1: 1, 3: Fraction(-8, 5)},
+        2: {2: 1, 3: Fraction(8, 15)},
+    }
 
 
 # -- the square and cube criteria ------------------------------------------------
