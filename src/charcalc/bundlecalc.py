@@ -20,6 +20,8 @@ from .exactring import (
     GradedRing,
     InvalidInputError,
     Rational,
+    parse_int,
+    tokenize,
 )
 from .symfun import sigma_top_coefficient, to_elementary
 
@@ -237,73 +239,46 @@ def parse_bundle_expr(text: str) -> BundleExpr:
     """Parse the text grammar: ``E4``, ``dual(X)``, ``sum(X,Y)``, ``tensor(X,Y)``,
     ``lambda2(X)``, ``triv(r)``.  Occurrences of the same ``E<m>`` token share
     one universal leaf."""
-    source = text.strip()
+    tokens = tokenize(text)
     pos = 0
     leaves: dict[str, Universal] = {}
 
     def error(message: str) -> InvalidInputError:
-        return InvalidInputError(f"{message} at position {pos} in {text!r}")
+        return InvalidInputError(f"{message} in {text!r}")
 
-    def skip_ws() -> None:
+    def take() -> str:
         nonlocal pos
-        while pos < len(source) and source[pos].isspace():
-            pos += 1
-
-    def expect(ch: str) -> None:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(source) or source[pos] != ch:
-            raise error(f"expected {ch!r}")
+        if pos >= len(tokens):
+            raise error("unexpected end of expression")
         pos += 1
+        return tokens[pos - 1]
 
-    def parse_int() -> int:
-        nonlocal pos
-        skip_ws()
-        start = pos
-        while pos < len(source) and source[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise error("expected an integer")
-        return int(source[start:pos])
+    def expect(token: str) -> None:
+        if take() != token:
+            raise error(f"expected {token!r}")
 
     def parse_node() -> BundleExpr:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(source):
-            raise error("unexpected end of expression")
-        start = pos
-        while pos < len(source) and (source[pos].isalnum() or source[pos] == "_"):
-            pos += 1
-        word = source[start:pos]
-        if not word:
-            raise error("expected a bundle expression")
-        if word[0] == "E" and word[1:].isdigit():
+        word = take()
+        if word.startswith("E"):
             if word not in leaves:
-                leaves[word] = Universal(int(word[1:]), name=word)
+                leaves[word] = Universal(parse_int(word[1:]), name=word)
             return leaves[word]
         if word == "triv":
             expect("(")
-            r = parse_int()
+            r = parse_int(take())
             expect(")")
             return Trivial(r)
-        if word == "dual":
+        if word in ("dual", "lambda2"):
             expect("(")
             inner = parse_node()
             expect(")")
-            return Dual(inner)
-        if word == "lambda2":
-            expect("(")
-            inner = parse_node()
-            expect(")")
-            return Lambda2(inner)
+            return Dual(inner) if word == "dual" else Lambda2(inner)
         if word in ("sum", "tensor"):
             expect("(")
             args = [parse_node()]
-            skip_ws()
-            while pos < len(source) and source[pos] == ",":
-                pos += 1
+            while tokens[pos:pos + 1] == [","]:
+                take()
                 args.append(parse_node())
-                skip_ws()
             expect(")")
             if len(args) < 2:
                 raise error(f"{word} needs at least two arguments")
@@ -313,8 +288,10 @@ def parse_bundle_expr(text: str) -> BundleExpr:
             return out
         raise error(f"unknown constructor {word!r}")
 
-    node = parse_node()
-    skip_ws()
-    if pos != len(source):
+    try:
+        node = parse_node()
+    except RecursionError:
+        raise InvalidInputError("bundle expression is nested too deeply") from None
+    if pos != len(tokens):
         raise error("trailing input")
     return node

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from . import bundlecalc, coupling, equivariant, flagcoh, obstruction, symfun
 from .exactring import (
@@ -28,6 +28,7 @@ from .exactring import (
     RingPresentation,
     format_rational,
     graded_component,
+    parse_int,
     parse_poly,
     parse_rational,
     poly_arith,
@@ -78,6 +79,16 @@ OP_REGISTRY = {
 
 # -- small input parsers -------------------------------------------------------
 
+_T = TypeVar("_T")
+
+
+def _from_flag(flag: str, parse: Callable[..., _T], *args) -> _T:
+    """Run ``parse(*args)`` on a flag's text; an input error names the flag."""
+    try:
+        return parse(*args)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{flag}: {exc}") from exc
+
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
@@ -101,8 +112,8 @@ def _parse_space(text: str) -> RingPresentation:
         if len(dims) != 1:
             raise InvalidInputError("--space: cpn takes exactly one integer")
         return _projective_space(dims[0])
-    if spec.startswith("cp") and spec[2:].isdigit():
-        return _projective_space(int(spec[2:]))
+    if spec.startswith("cp"):
+        return _projective_space(_from_flag("--space", parse_int, spec[2:]))
     if spec.startswith("gr:"):
         dims = _parse_int_list(spec[len("gr:"):], "--space")
         if len(dims) != 2:
@@ -150,20 +161,23 @@ def _rational_payload(value: Fraction) -> dict:
 # -- subcommand handlers --------------------------------------------------------
 
 
-def _cmd_poly(args) -> tuple[dict, int]:
+def _parse_gens(text: str) -> GradedRing:
     try:
-        pieces = [piece.split(":") for piece in args.gens.split(",")]
-        ring = GradedRing(
-            tuple(name.strip() for name, _ in pieces),
-            tuple(int(degree) for _, degree in pieces),
-        )
-    except (ValueError, IndexError):
-        raise InvalidInputError("--gens: expected name:degree pairs like y1:2,y2:4")
-    a = parse_poly(ring, args.a)
+        pieces = [piece.split(":") for piece in text.split(",")]
+        names = tuple(name.strip() for name, _ in pieces)
+        degrees = tuple(int(degree) for _, degree in pieces)
+    except ValueError:
+        raise InvalidInputError("expected name:degree pairs like y1:2,y2:4") from None
+    return GradedRing(names, degrees)
+
+
+def _cmd_poly(args) -> tuple[dict, int]:
+    ring = _from_flag("--gens", _parse_gens, args.gens)
+    a = _from_flag("--a", parse_poly, ring, args.a)
     if args.op in ("add", "mul"):
         if args.b is None:
             raise InvalidInputError("--b: required for add and mul")
-        result = poly_arith(a, parse_poly(ring, args.b), args.op)
+        result = poly_arith(a, _from_flag("--b", parse_poly, ring, args.b), args.op)
     elif args.op == "pow":
         if args.e is None:
             raise InvalidInputError("--e: required for pow")
@@ -176,30 +190,29 @@ def _cmd_poly(args) -> tuple[dict, int]:
 
 
 def _cmd_sym(args) -> tuple[dict, int]:
-    if args.op in ("monomial", "to-elementary", "sigma-top") and args.partition is None:
-        raise InvalidInputError("--partition: required for this operation")
+    if args.op in ("monomial", "to-elementary", "sigma-top"):
+        if args.partition is None:
+            raise InvalidInputError("--partition: required for this operation")
+        I = _from_flag("--partition", symfun.Partition.parse, args.partition)
     if args.op == "monomial":
-        I = symfun.Partition.parse(args.partition)
         return {"poly": str(symfun.monomial_symmetric(I, args.vars))}, 0
     if args.op == "elementary":
         if args.k is None:
             raise InvalidInputError("--k: required for elementary")
         return {"poly": str(symfun.elementary(args.k, args.vars))}, 0
     if args.op == "to-elementary":
-        I = symfun.Partition.parse(args.partition)
         elem = symfun.to_elementary(symfun.monomial_symmetric(I, args.vars), args.vars)
         return {"elementary": str(elem)}, 0
     if args.op == "sigma-top":
         if args.k is None:
             raise InvalidInputError("--k: required for sigma-top")
-        I = symfun.Partition.parse(args.partition)
         elem = symfun.to_elementary(symfun.monomial_symmetric(I, args.vars), args.vars)
         return _rational_payload(symfun.sigma_top_coefficient(elem, args.k)), 0
     raise InvalidInputError(f"--op: unknown operation {args.op!r}")
 
 
 def _cmd_chern(args) -> tuple[dict, int]:
-    expr = bundlecalc.parse_bundle_expr(args.expr)
+    expr = _from_flag("--expr", bundlecalc.parse_bundle_expr, args.expr)
     if args.eval == "sphere":
         return _rational_payload(bundlecalc.sphere_eval(expr, args.k)), 0
     if args.emit == "roots":
@@ -251,17 +264,17 @@ def _cmd_bundle(args) -> tuple[dict, int]:
         return {"class": str(result)}, 0
     pres = _parse_space(args.space)
     if args.integrate is not None:
-        p = parse_poly(pres.ring, args.integrate)
+        p = _from_flag("--integrate", parse_poly, pres.ring, args.integrate)
         result = flagcoh.fiber_integrate(p, pres)
         return {"class": str(result), "degree": result.degree()}, 0
     if args.normal is not None:
-        p = parse_poly(pres.ring, args.normal)
+        p = _from_flag("--normal", parse_poly, pres.ring, args.normal)
         return {"normal_form": str(pres.normal_form(p))}, 0
     if args.coefficient is not None:
         if args.basis_element is None:
             raise InvalidInputError("--basis-element: required with --coefficient")
-        p = parse_poly(pres.ring, args.coefficient)
-        b_poly = parse_poly(pres.ring, args.basis_element)
+        p = _from_flag("--coefficient", parse_poly, pres.ring, args.coefficient)
+        b_poly = _from_flag("--basis-element", parse_poly, pres.ring, args.basis_element)
         if len(b_poly.terms) != 1 or set(b_poly.terms.values()) != {Fraction(1)}:
             raise InvalidInputError("--basis-element: expected a single monic monomial")
         b = next(iter(b_poly.terms))
@@ -271,9 +284,9 @@ def _cmd_bundle(args) -> tuple[dict, int]:
 
 def _coupling_input(args) -> coupling.CouplingInput:
     base_text = args.base.strip().lower()
-    if not base_text.startswith("s") or not base_text[1:].isdigit():
+    if not base_text.startswith("s"):
         raise InvalidInputError("--base: expected an even sphere like s4")
-    base_dim = int(base_text[1:])
+    base_dim = _from_flag("--base", parse_int, base_text[1:])
     if base_dim % 2:
         raise InvalidInputError("--base: sphere dimension must be even")
     if args.space == "pcn-bundle":
@@ -332,7 +345,7 @@ def _cmd_equi(args) -> tuple[dict, int]:
         payload = {"moment": str(equivariant.normalized_moment(action))}
     elif args.equi_op == "integral":
         ring = equivariant.simplex_ring(args.n)
-        p = parse_poly(ring, args.poly)
+        p = _from_flag("--poly", parse_poly, ring, args.poly)
         payload = _rational_payload(equivariant.moment_integral(p, args.n))
     else:
         raise InvalidInputError(f"unknown equi operation {args.equi_op!r}")
@@ -359,18 +372,12 @@ def _alpha_pairing(pres: RingPresentation, text: str) -> dict[str, Fraction]:
             raise InvalidInputError(f"--alpha: unknown generator {name!r}")
         if name not in degree_two:
             raise InvalidInputError(f"--alpha: {name!r} is not a degree-2 generator")
-        try:
-            pairing[name] = parse_rational(value)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"--alpha: {exc}") from exc
+        pairing[name] = _from_flag("--alpha", parse_rational, value)
     return pairing
 
 
 def _degree_two_class(pres: RingPresentation, text: str) -> GradedPoly:
-    try:
-        c = parse_poly(pres.ring, text)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"--class: {exc}") from exc
+    c = _from_flag("--class", parse_poly, pres.ring, text)
     if c.is_zero() or not c.is_homogeneous() or c.homogeneous_degree() != 2:
         raise InvalidInputError("--class: must be homogeneous of degree 2")
     return c
@@ -386,8 +393,11 @@ def _cmd_obstruct(args) -> tuple[dict, int]:
             "basis": [m.text(pres.ring) for m in basis.monomials],
         }, 0
     if args.obstruct_op == "member":
-        z = parse_poly(pres.ring, args.z)
-        gens = [parse_poly(pres.ring, piece) for piece in args.gens.split(";") if piece.strip()]
+        z = _from_flag("--z", parse_poly, pres.ring, args.z)
+        gens = [
+            _from_flag("--gens", parse_poly, pres.ring, piece)
+            for piece in args.gens.split(";") if piece.strip()
+        ]
         return {"member": obstruction.ideal_membership(z, gens, pres)}, 0
     if args.obstruct_op == "hl":
         if pres.top_degree is None:
@@ -396,14 +406,15 @@ def _cmd_obstruct(args) -> tuple[dict, int]:
         holds = obstruction.hard_lefschetz_check(pres, a, pres.top_degree // 2)
         return {"criterion": holds, "half_top_degree": pres.top_degree // 2}, 0
     pairing = _alpha_pairing(pres, args.alpha)
+    if not any(pairing.values()):
+        raise InvalidInputError("--alpha: the pairing functional is identically zero")
     if args.cls is not None:
         c = _degree_two_class(pres, args.cls)
     else:
-        name = next((name for name, value in pairing.items() if value), None)
-        if name is None:
-            raise InvalidInputError("--alpha: the pairing functional is identically zero")
-        c = pres.ring.gen(name)
+        c = pres.ring.gen(next(name for name, value in pairing.items() if value))
     data = obstruction.ObstructionInput(pres, pairing, c)
+    if data.pairing_value(c) == 0:
+        raise InvalidInputError("--class: must pair nontrivially against --alpha")
     if args.obstruct_op == "square":
         return {
             "criterion": obstruction.whitehead_square_criterion(data),

@@ -13,9 +13,10 @@ rationals, reduced and with positive denominator by construction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "Rational",
@@ -34,6 +35,8 @@ __all__ = [
     "normal_form",
     "fiber_coefficient",
     "monomials_of_degree",
+    "tokenize",
+    "parse_int",
     "parse_poly",
     "parse_rational",
     "format_rational",
@@ -75,14 +78,6 @@ def _frac(value: int | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise InvalidInputError(f"expected an integer or Fraction, got {value!r}")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse the canonical ``p/q`` (or ``p``) encoding of a rational."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInputError(f"malformed rational {text!r}") from exc
 
 
 def format_rational(q: Fraction) -> str:
@@ -614,46 +609,44 @@ def fiber_coefficient(p: GradedPoly, pres: RingPresentation, b: Monomial) -> Gra
 # -- text input ---------------------------------------------------------------
 
 
-def _tokenize(text: str) -> Iterator[str]:
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^":
-            yield ch
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] == "/":
-                k = j + 1
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise InvalidInputError(f"malformed rational near {text[i:]!r}")
-                yield text[i:k]
-                i = k
-            else:
-                yield text[i:j]
-                i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            yield text[i:j]
-            i = j
-            continue
-        raise InvalidInputError(f"unexpected character {ch!r} in polynomial")
+# One lexer for polynomial and bundle text: a number (``p`` or ``p/q`` in
+# decimal digits), a name, or any other single non-space character.
+_NUMBER = r"\d+(?:/\d+)?"
+_TOKEN = re.compile(rf"{_NUMBER}|[^\W\d]\w*|\S")
+_RATIONAL = re.compile(rf"\s*[+-]?{_NUMBER}\s*")
+
+
+def tokenize(text: str) -> list[str]:
+    """Number, name and single-character tokens of ``text``; whitespace separates."""
+    return _TOKEN.findall(text)
+
+
+def parse_int(token: str) -> int:
+    """A nonnegative integer written in decimal digits; anything else is an input error."""
+    if not token.isdecimal():
+        raise InvalidInputError(f"expected decimal digits, got {token!r}")
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise InvalidInputError(f"integer of {len(token)} digits is too long") from None
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse the canonical ``p/q`` (or ``p``) encoding of a rational, optionally signed."""
+    if not _RATIONAL.fullmatch(text):
+        raise InvalidInputError(f"malformed rational {text!r}")
+    body = text.strip()
+    numerator, _, denominator = body.lstrip("+-").partition("/")
+    p = parse_int(numerator)
+    q = parse_int(denominator) if denominator else 1
+    if q == 0:
+        raise InvalidInputError(f"zero denominator in {text!r}")
+    return Fraction(-p if body[0] == "-" else p, q)
 
 
 def parse_poly(ring: GradedRing, text: str) -> GradedPoly:
     """Parse sums of terms like ``2*y1^2*y2 - 1/3*y3 + 4`` in the given ring."""
-    tokens = list(_tokenize(text))
+    tokens = tokenize(text)
     if not tokens:
         raise InvalidInputError("empty polynomial text")
     result = ring.zero()
@@ -665,15 +658,14 @@ def parse_poly(ring: GradedRing, text: str) -> GradedPoly:
             raise InvalidInputError("polynomial ends unexpectedly")
         token = tokens[pos]
         pos += 1
-        if token[0].isdigit():
+        if token[0].isdecimal():
             return ring.constant(parse_rational(token))
         base = ring.gen(token)
         if pos < len(tokens) and tokens[pos] == "^":
-            pos += 1
-            if pos >= len(tokens) or not tokens[pos].isdigit():
+            if pos + 1 >= len(tokens):
                 raise InvalidInputError("exponent expected after '^'")
-            base = base ** int(tokens[pos])
-            pos += 1
+            base = base ** parse_int(tokens[pos + 1])
+            pos += 2
         return base
 
     def parse_term() -> GradedPoly:

@@ -497,10 +497,10 @@ def phi_pullback(k: int) -> GradedPoly:
     second = -y[0] - y[1]
     for i in range(2, k + 1):
         second = second + y[i]
-    product = first * second
+    product = pres.normal_form(first * second)
     for j in range(2, k + 1):
         factor = y[j].scale(-j)
         for i in range(j + 1, k + 1):
             factor = factor + y[i]
-        product = product * factor
-    return pres.normal_form(product)
+        product = pres.normal_form(product * factor)
+    return product

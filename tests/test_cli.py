@@ -3,6 +3,7 @@ import re
 
 from charcalc import bundlecalc, cli
 
+LONG = "9" * 5000
 
 def run_cli(capsys, *argv):
     code = cli.run(list(argv))
@@ -98,6 +99,63 @@ def test_mu_subcommand(capsys):
     assert json.loads(out)["class"] == "0"
 
 
+def test_chern_emit_modes_golden(capsys):
+    code, out, _ = run_cli(capsys, "chern", "--expr", "E2", "--k", "1", "--emit", "roots")
+    assert code == 0
+    assert out.strip() == '{"rank":2,"roots":["1*t1","1*t2"]}'
+    code, out, _ = run_cli(capsys, "chern", "--expr", "lambda2(E3)", "--k", "2",
+                           "--emit", "monomial-symmetric")
+    assert code == 0
+    assert out.strip() == '{"monomial_symmetric":"3*s(1,1) + 1*s(2)"}'
+    code, out, _ = run_cli(capsys, "chern", "--expr", "sum(E2,dual(E2))", "--k", "2",
+                           "--emit", "class")
+    assert code == 0
+    assert out.strip() == '{"class":"-1*t1^2 + -1*t2^2","degree":4}'
+
+
+def test_sym_monomial_and_to_elementary_golden(capsys):
+    code, out, _ = run_cli(capsys, "sym", "--op", "monomial", "--partition", "2,1",
+                           "--vars", "3")
+    assert code == 0
+    assert json.loads(out)["poly"] == (
+        "1*t1^2*t2 + 1*t1^2*t3 + 1*t1*t2^2 + 1*t1*t3^2 + 1*t2^2*t3 + 1*t2*t3^2"
+    )
+    code, out, _ = run_cli(capsys, "sym", "--op", "to-elementary", "--partition", "(2,1)",
+                           "--vars", "3")
+    assert code == 0
+    assert out.strip() == '{"elementary":"1*sigma1*sigma2 + -3*sigma3"}'
+
+
+def test_flag_three_blocks_golden(capsys):
+    code, out, _ = run_cli(capsys, "flag", "--dims", "2,1,1", "--emit", "dims")
+    assert code == 0
+    assert out.strip() == '{"dim_by_degree":[1,2,3,3,2,1],"total":12}'
+    code, out, _ = run_cli(capsys, "flag", "--dims", "1,1,1", "--emit", "relations")
+    assert code == 0
+    assert json.loads(out) == {
+        "dim_by_degree": [1, 2, 2, 1],
+        "generators": ["y2_1", "y3_1"],
+        "relations": [
+            "-1*y2_1^2 + -1*y2_1*y3_1 + -1*y3_1^2",
+            "-1*y2_1^2*y3_1 + -1*y2_1*y3_1^2",
+        ],
+    }
+
+
+def test_bundle_named_spaces_golden(capsys):
+    code, out, _ = run_cli(capsys, "bundle", "--space", "point")
+    assert code == 0
+    assert out.strip() == '{"dim_by_degree":[1],"total":1}'
+    code, out, _ = run_cli(capsys, "bundle", "--space", "cpn:2", "--emit", "relations")
+    assert code == 0
+    assert out.strip() == '{"dim_by_degree":[1,1,1],"generators":["c"],"relations":["1*c^3"]}'
+    code, out, _ = run_cli(capsys, "bundle", "--space", "cpn:2", "--emit", "basis")
+    assert json.loads(out) == {"basis": ["1", "c", "c^2"]}
+    code, out, _ = run_cli(capsys, "bundle", "--space", "flag:1,1,1", "--emit", "dims")
+    assert code == 0
+    assert out.strip() == '{"dim_by_degree":[1,2,2,1],"total":6}'
+
+
 def test_equi_other_ops(capsys):
     code, out, _ = run_cli(capsys, "equi", "simplex", "--alpha", "2,0", "--n", "2")
     assert json.loads(out)["value"] == "1/12"
@@ -152,6 +210,31 @@ def test_validation_exit_codes(capsys):
         (("obstruct", "cube", "--space", "gr:2,2", "--class", "y2"), "--class"),
         (("obstruct", "square", "--space", "gr:2,2", "--class", "zz"), "--class"),
         (("obstruct", "hl", "--space", "gr:2,2", "--class", "y1^2"), "--class"),
+        (("obstruct", "square", "--space", "s2xs2", "--alpha", "s1=1", "--class", "s2"),
+         "--class"),
+        (("obstruct", "square", "--space", "cp2", "--alpha", "c=1.5"), "--alpha"),
+        (("obstruct", "square", "--space", "cp2", "--alpha", "c=1e4000000"), "--alpha"),
+        (("obstruct", "square", "--space", "cp²"), "--space"),
+        (("obstruct", "square", "--space", "cp" + LONG), "--space"),
+        (("obstruct", "member", "--space", "gr:2,2", "--z", "zz"), "--z"),
+        (("obstruct", "member", "--space", "gr:2,2", "--z", "y1", "--gens", "y1;zz"), "--gens"),
+        (("mu", "--space", "pcn-bundle", "--base", "s²", "--n", "1", "--k", "2"), "--base"),
+        (("poly", "--gens", "y:2", "--a", "y^²"), "--a"),
+        (("poly", "--gens", "y:2", "--a", "y^" + LONG), "--a"),
+        (("poly", "--gens", "y:2", "--a", "y", "--op", "add", "--b", "zz"), "--b"),
+        (("poly", "--gens", "y:²", "--a", "y"), "--gens"),
+        (("poly", "--gens", "1y:2", "--a", "y"), "--gens"),
+        (("chern", "--expr", "E²", "--k", "1"), "--expr"),
+        (("chern", "--expr", "triv(²)", "--k", "1"), "--expr"),
+        (("chern", "--expr", "E" + LONG, "--k", "1"), "--expr"),
+        (("sym", "--op", "monomial", "--partition", "(²)", "--vars", "3"), "--partition"),
+        (("bundle", "--space", "cp2", "--integrate", "c^²"), "--integrate"),
+        (("bundle", "--space", "cp2", "--normal", "zz"), "--normal"),
+        (("bundle", "--space", "cp2", "--coefficient", "c.", "--basis-element", "c"),
+         "--coefficient"),
+        (("bundle", "--space", "cp2", "--coefficient", "c", "--basis-element", "zz"),
+         "--basis-element"),
+        (("equi", "integral", "--poly", "x1^" + LONG, "--n", "2"), "--poly"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2

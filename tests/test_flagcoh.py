@@ -383,6 +383,24 @@ def test_phi_pullback_closed_form():
         assert value == expected
 
 
+def expanded_phi_pullback(k):
+    """Oracle: the whole product in the free ring, reduced once at the end."""
+    pres = sphere_product_ring([2] * (k + 1))
+    y = pres.ring.gens()
+    product = sum(y[1:], y[0]) * (sum(y[2:], -y[0] - y[1]))
+    for j in range(2, k + 1):
+        product = product * sum(y[j + 1:], y[j].scale(-j))
+    return pres.normal_form(product)
+
+
+def test_phi_pullback_matches_expand_then_reduce():
+    for k in range(1, 8):
+        value = phi_pullback(k)
+        expected = expanded_phi_pullback(k)
+        assert value == expected
+        assert str(value) == str(expected)
+
+
 def test_phi_pullback_rejects_zero():
     with pytest.raises(InvalidInputError):
         phi_pullback(0)
