@@ -5,7 +5,8 @@ tensor and second-exterior-power constructors.  Each distinct universal leaf
 owns a disjoint block of degree-2 root variables; a leaf that appears several
 times in one expression (by object identity, or by name in the text grammar)
 shares its block across occurrences.  Chern classes come from the graded
-components of the product of ``1 + root`` over all roots.
+components of the product of ``1 + root`` over all roots; the sphere pairing
+has a closed form and needs no roots at all.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .exactring import (
     parse_int,
     tokenize,
 )
-from .symfun import sigma_top_coefficient, to_elementary
 
 __all__ = [
     "EvaluationModelError",
@@ -216,9 +216,10 @@ def chern_class(expr: BundleExpr, k: int) -> GradedPoly:
 def sphere_eval(expr: BundleExpr, k: int) -> Rational:
     """Pair ``c_k`` with the spherical generator of the single universal leaf.
 
-    Normalized so that the rank-4 universal bundle pairs to 6 in degree 8;
-    concretely ``(k-1)!`` times the coefficient of sigma_k in the elementary
-    expression of the class.
+    Normalized so that the rank-4 universal bundle pairs to 6 in degree 8:
+    ``(k-1)!`` times the coefficient of sigma_k in the elementary expression
+    of the class, which is ``a_k`` of ``_rank_and_power_sum`` (and zero when
+    k exceeds the leaf rank, where sigma_k vanishes).
     """
     leaves = universal_leaves(expr)
     if len(leaves) != 1:
@@ -227,12 +228,41 @@ def sphere_eval(expr: BundleExpr, k: int) -> Rational:
         )
     if k < 1:
         raise InvalidInputError("k must be positive")
-    v = leaves[0].m
-    cls = chern_class(expr, k)
-    if cls.is_zero():
+    if k > leaves[0].m:
         return Fraction(0)
-    elem = to_elementary(cls, v)
-    return Fraction(math.factorial(k - 1)) * sigma_top_coefficient(elem, k)
+    return Fraction(math.factorial(k - 1) * _rank_and_power_sum(expr, k)[1])
+
+
+def _rank_and_power_sum(node: BundleExpr, k: int) -> tuple[int, int]:
+    """Rank of ``node`` and the integer ``a_k`` with ``p_k(roots) = a_k p_k(leaf)``
+    modulo decomposables; by Newton's identity ``c_k = (-1)^(k-1) p_k / k``,
+    ``a_k`` is then the sigma_k-coefficient of ``c_k``."""
+    if isinstance(node, Universal):
+        return node.m, 1
+    if isinstance(node, Trivial):
+        return node.r, 0
+    if isinstance(node, Dual):
+        rank, a = _rank_and_power_sum(node.inner, k)
+        return rank, (-1) ** k * a
+    if isinstance(node, Lambda2):
+        rank, a = _rank_and_power_sum(node.inner, k)
+        return rank * (rank - 1) // 2, (rank - 2 ** (k - 1)) * a
+    if isinstance(node, (Sum, Tensor)):
+        left_rank, left = _rank_and_power_sum(node.left, k)
+        right_rank, right = _rank_and_power_sum(node.right, k)
+        if isinstance(node, Sum):
+            return left_rank + right_rank, left + right
+        return left_rank * right_rank, left_rank * right + right_rank * left
+    raise InvalidInputError(f"unknown bundle node {node!r}")
+
+
+def _balanced(node: type, args: list[BundleExpr]) -> BundleExpr:
+    """``node`` folded over ``args`` as a balanced tree: shallow recursion, and
+    the same leaves, root order and classes as the left-deep fold."""
+    if len(args) == 1:
+        return args[0]
+    middle = len(args) // 2
+    return node(_balanced(node, args[:middle]), _balanced(node, args[middle:]))
 
 
 def parse_bundle_expr(text: str) -> BundleExpr:
@@ -282,10 +312,7 @@ def parse_bundle_expr(text: str) -> BundleExpr:
             expect(")")
             if len(args) < 2:
                 raise error(f"{word} needs at least two arguments")
-            out = args[0]
-            for arg in args[1:]:
-                out = Sum(out, arg) if word == "sum" else Tensor(out, arg)
-            return out
+            return _balanced(Sum if word == "sum" else Tensor, args)
         raise error(f"unknown constructor {word!r}")
 
     try:

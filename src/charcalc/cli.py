@@ -249,12 +249,7 @@ def _cmd_flag(args) -> tuple[dict, int]:
         return {"series": [str(f) for f in series]}, 0
     if args.dims is None:
         raise InvalidInputError("--dims: required unless --inverse-series is used")
-    dims = _parse_int_list(args.dims, "--dims")
-    spec = flagcoh.FlagSpec(tuple(dims))  # enforces the weakly decreasing convention
-    if len(dims) == 2:
-        pres = flagcoh.grassmannian_presentation(dims[0], dims[1])
-    else:
-        pres = flagcoh.flag_presentation(spec)
+    pres = flagcoh.flag_presentation(_parse_int_list(args.dims, "--dims"))
     return _presentation_payload(pres, args.emit), 0
 
 

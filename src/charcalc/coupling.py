@@ -11,6 +11,7 @@ mixed classes (the kappa classes in the surface-bundle shape).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -61,22 +62,18 @@ class CouplingInput:
         if self.n < 0:
             raise InvalidInputError("fiber dimension must be nonnegative")
         # nondegeneracy is part of the type: u^n must integrate to a unit
-        _fiber_volume(self)
+        self.fiber_volume
 
-    @property
+    @functools.cached_property
     def fiber_volume(self) -> Fraction:
-        return _fiber_volume(self)
-
-
-def _fiber_volume(data: CouplingInput) -> Fraction:
-    """The scalar integral of u^n over the fiber; must be invertible."""
-    volume = fiber_integrate(data.u ** data.n, data.pres)
-    constant = volume.constant_term()
-    if volume != volume.ring.constant(constant):
-        raise DegeneracyError("u^n does not integrate to a scalar")
-    if constant == 0:
-        raise DegeneracyError("u^n integrates to zero; the fiber class is degenerate")
-    return constant
+        """The scalar integral of u^n over the fiber; must be invertible."""
+        volume = fiber_integrate(self.u ** self.n, self.pres)
+        constant = volume.constant_term()
+        if volume != volume.ring.constant(constant):
+            raise DegeneracyError("u^n does not integrate to a scalar")
+        if constant == 0:
+            raise DegeneracyError("u^n integrates to zero; the fiber class is degenerate")
+        return constant
 
 
 def coupling_class(data: CouplingInput) -> GradedPoly:

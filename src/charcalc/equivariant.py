@@ -3,7 +3,8 @@
 A weighted circle action on CP^n is encoded by its integer weights on the
 homogeneous coordinates.  In moment coordinates the normalized Hamiltonian is
 an affine function on the standard simplex, and every integral this module
-computes reduces to the closed form for monomial integrals over the simplex.
+computes reduces to a closed form: monomial integrals over the simplex, or,
+for powers of the moment, complete homogeneous polynomials of its values.
 
 Normalization: the symplectic volume is one, i.e. the integral of a function
 f against the volume form equals n! times its plain integral over the
@@ -118,16 +119,23 @@ def moment_integral(p: GradedPoly, n: int) -> Rational:
 def mu_of_circle(action: WeightedCircleAction, k: int) -> Rational:
     """Scalar coefficient of the k-th power class pulled back to the circle.
 
-    Equals ``(-1)^k C(n+k, n)`` times the moment integral of ``H^k``; it
-    vanishes for ``k = 1`` by the mean-zero normalization and is nonzero for
-    every even ``k`` on a nontrivial action.
+    Equals ``(-1)^k C(n+k, n)`` times the moment integral of ``H^k``, which
+    for an affine ``H`` with vertex values ``u = w - mean`` is
+    ``(-1)^k h_k(u)``, the complete homogeneous polynomial.  It vanishes for
+    ``k = 1`` by the mean-zero normalization and is positive for every even
+    ``k`` on a nontrivial action (even ``h_k`` are positive definite).
     """
     if k < 1:
         raise InvalidInputError("k must be at least 1")
-    h = normalized_moment(action)
-    value = moment_integral(h ** k, action.n)
-    sign = -1 if k % 2 else 1
-    return Fraction(sign * math.comb(action.n + k, action.n)) * value
+    # h_k of the integer vertex values (n+1) u_j, by adding one variable at
+    # a time: h_i(..., x) = h_i(...) + x h_{i-1}(..., x)
+    total, size = sum(action.weights), action.n + 1
+    h = [1] + [0] * k
+    for w in action.weights:
+        x = size * w - total
+        for i in range(1, k + 1):
+            h[i] += x * h[i - 1]
+    return Fraction((-1) ** k * h[k], size ** k)
 
 
 def su_weight_vector(ell: int, j: int) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -81,10 +82,14 @@ def _frac(value: int | Fraction) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical encoding: ``p/q``, or ``p`` when the denominator is one."""
+    """Canonical encoding: ``p/q``, or ``p`` when the denominator is one.
+
+    ``Decimal`` prints integers of any length, past the ``str(int)`` digit
+    limit that stays in place to bound ``parse_int``."""
+    numerator = str(Decimal(q.numerator))
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return numerator
+    return f"{numerator}/{Decimal(q.denominator)}"
 
 
 @dataclass(frozen=True)

@@ -127,10 +127,8 @@ def sphere_product_ring(
         for size in range(r + 1)
         for subset in itertools.combinations(range(r), size)
     ]
+    # degree ascending, largest first within a degree: the top class ends it
     basis.sort(key=lambda m: (m.degree(ring), tuple(-e for e in m.dense(ring))))
-    top = Monomial.make({j: 1 for j in range(r)})
-    basis.remove(top)
-    basis.append(top)
     relations = tuple(ring.gen(j) ** 2 for j in range(r))
     return RingPresentation(
         ring,
@@ -155,13 +153,18 @@ def inverse_series(v: int, d: int, ring: GradedRing | None = None) -> list[Grade
     )
     if ambient.ngens < v:
         raise InvalidInputError("ambient ring has too few generators")
-    pieces: list[GradedPoly] = [ambient.one()]
+    return _inverse_pieces(ambient, [ambient.gen(j) for j in range(v)], d)[1:]
+
+
+def _inverse_pieces(ring: GradedRing, y: Sequence[GradedPoly], d: int) -> list[GradedPoly]:
+    """f_0 = 1, f_1, ..., f_d of ``(1 + y[0] + y[1] + ...)^(-1)``, y[j] of degree 2(j+1)."""
+    pieces: list[GradedPoly] = [ring.one()]
     for i in range(1, d + 1):
-        acc = ambient.zero()
-        for j in range(1, min(i, v) + 1):
-            acc = acc + ambient.gen(j - 1) * pieces[i - j]
+        acc = ring.zero()
+        for j in range(1, min(i, len(y)) + 1):
+            acc = acc + y[j - 1] * pieces[i - j]
         pieces.append(-acc)
-    return pieces[1:]
+    return pieces
 
 
 def _rref_rules(
@@ -303,85 +306,6 @@ def dimension_vector(pres: RingPresentation) -> list[int]:
     ]
 
 
-def _flag_machinery(
-    dims: tuple[int, ...], gen_names: Sequence[str], block_sizes: Sequence[int]
-) -> tuple[GradedRing, list[GradedPoly], int]:
-    """Shared construction: relations for U(l)/U(m_1)x...xU(m_k).
-
-    The generators are the Chern classes of the factors 2..k; the first
-    block's classes are eliminated through the inverse of the total class.
-    Relations are the components of the total-class identity in degrees
-    m_1 + 1 through l.
-    """
-    m1 = dims[0]
-    ell = sum(dims)
-    degrees: list[int] = []
-    for size in block_sizes:
-        degrees.extend(2 * (i + 1) for i in range(size))
-    ring = GradedRing(tuple(gen_names), tuple(degrees))
-
-    # Total class of the concatenated later factors.
-    total = ring.one()
-    offset = 0
-    for size in block_sizes:
-        factor = ring.one()
-        for i in range(size):
-            factor = factor + ring.gen(offset + i)
-        total = total * factor
-        offset += size
-
-    # Inverse series of the total class, up to degree m1.
-    pieces: list[GradedPoly] = [ring.one()]
-    for i in range(1, ell + 1):
-        acc = ring.zero()
-        for j in range(1, i + 1):
-            y_j = total.graded_component(2 * j)
-            if y_j.is_zero():
-                continue
-            acc = acc + y_j * pieces[i - j]
-        pieces.append(-acc)
-
-    truncated_inverse = ring.zero()
-    for i in range(0, m1 + 1):
-        truncated_inverse = truncated_inverse + pieces[i]
-    product = truncated_inverse * total
-
-    relations = []
-    for degree in range(m1 + 1, ell + 1):
-        component = product.graded_component(2 * degree)
-        if component.is_zero():
-            raise PresentationError("expected a nonzero relation component")
-        relations.append(component)
-
-    top_degree = 2 * sum(a * b for a, b in itertools.combinations(dims, 2))
-    return ring, relations, top_degree
-
-
-def _finish_flag_presentation(
-    ring: GradedRing,
-    relations: list[GradedPoly],
-    top_degree: int,
-    family: str,
-) -> RingPresentation:
-    rules = _rref_rules(ring, relations, top_degree)
-    probe = RingPresentation(ring, rules, relations=tuple(relations), family=family)
-    basis: list[Monomial] = []
-    for degree in range(0, top_degree + 1, 2):
-        basis.extend(basis_monomials(probe, degree))
-    if sum(1 for b in basis if b.degree(ring) == top_degree) != 1:
-        raise PresentationError("top degree component is not one-dimensional")
-    basis.sort(key=lambda m: (m.degree(ring), tuple(-e for e in m.dense(ring))))
-    return RingPresentation(
-        ring,
-        rules,
-        fiber_basis=tuple(basis),
-        relations=tuple(relations),
-        family=family,
-        top_degree=top_degree,
-    )
-
-
-@functools.lru_cache(maxsize=None)
 def grassmannian_presentation(m: int, k: int) -> RingPresentation:
     """Cohomology of the Grassmannian U(m+k)/U(m)xU(k) on generators y_1..y_k.
 
@@ -391,9 +315,7 @@ def grassmannian_presentation(m: int, k: int) -> RingPresentation:
     """
     if m < 1 or k < 1:
         raise InvalidInputError("need m >= 1 and k >= 1")
-    names = tuple(f"y{i + 1}" for i in range(k))
-    ring, relations, top_degree = _flag_machinery((m, k), names, (k,))
-    return _finish_flag_presentation(ring, relations, top_degree, "grassmannian")
+    return _flag_presentation_cached((m, k))
 
 
 def flag_presentation(spec: FlagSpec | Sequence[int]) -> RingPresentation:
@@ -405,20 +327,50 @@ def flag_presentation(spec: FlagSpec | Sequence[int]) -> RingPresentation:
 
 @functools.lru_cache(maxsize=None)
 def _flag_presentation_cached(dims: tuple[int, ...]) -> RingPresentation:
+    """Every presentation of U(l)/U(m_1)x...xU(m_k); two blocks are a Grassmannian.
+
+    The generators are the Chern classes of the blocks 2..k; the first
+    block's classes are eliminated through the inverse of the total class.
+    Relations are the components of the total-class identity in degrees
+    m_1 + 1 through l.
+    """
     if len(dims) == 1:
-        # A single block is a point.
-        return point_presentation()
-    tail = dims[1:]
-    if len(dims) == 2:
-        names: list[str] = [f"y{i + 1}" for i in range(dims[1])]
+        return point_presentation()  # a single block is a point
+    m1, tail = dims[0], dims[1:]
+    if len(tail) == 1:
+        names = [f"y{i + 1}" for i in range(tail[0])]
     else:
-        names = [
-            f"y{alpha + 2}_{i + 1}"
-            for alpha, size in enumerate(tail)
-            for i in range(size)
-        ]
-    ring, relations, top_degree = _flag_machinery(dims, names, tail)
-    return _finish_flag_presentation(ring, relations, top_degree, "flag")
+        names = [f"y{alpha + 2}_{i + 1}" for alpha, size in enumerate(tail) for i in range(size)]
+    ring = GradedRing(tuple(names), tuple(2 * (i + 1) for size in tail for i in range(size)))
+
+    # Total class of the later blocks, times its inverse series up to degree m1.
+    total, offset = ring.one(), 0
+    for size in tail:
+        total = total * sum(ring.gens()[offset:offset + size], ring.one())
+        offset += size
+    classes = [total.graded_component(2 * j) for j in range(1, sum(tail) + 1)]
+    product = sum(_inverse_pieces(ring, classes, m1), ring.zero()) * total
+    relations = [product.graded_component(2 * d) for d in range(m1 + 1, m1 + sum(tail) + 1)]
+    if any(r.is_zero() for r in relations):
+        raise PresentationError("expected a nonzero relation component")
+
+    top_degree = 2 * sum(a * b for a, b in itertools.combinations(dims, 2))
+    rules = _rref_rules(ring, relations, top_degree)
+    family = "grassmannian" if len(tail) == 1 else "flag"
+    probe = RingPresentation(ring, rules, relations=tuple(relations), family=family)
+    basis: list[Monomial] = []
+    for degree in range(0, top_degree + 1, 2):
+        basis.extend(basis_monomials(probe, degree))
+    if sum(1 for b in basis if b.degree(ring) == top_degree) != 1:
+        raise PresentationError("top degree component is not one-dimensional")
+    return RingPresentation(
+        ring,
+        rules,
+        fiber_basis=tuple(basis),
+        relations=tuple(relations),
+        family=family,
+        top_degree=top_degree,
+    )
 
 
 def projective_bundle(
@@ -486,21 +438,33 @@ def phi_pullback(k: int) -> GradedPoly:
 
     In the square-zero ring of k+1 two-spheres this is
     ``(y_0 + ... + y_k)(-y_0 - y_1 + y_2 + ... + y_k) *
-    prod_{j=2..k} (-j y_j + sum_{i>j} y_i)``, reduced to normal form.
+    prod_{j=2..k} (-j y_j + sum_{i>j} y_i)``.  A product of k+1 linear forms
+    in k+1 square-zero generators is the permanent of their coefficient rows
+    times ``y_0 ... y_k``.
     """
     if k < 1:
         raise InvalidInputError("k must be at least 1")
-    pres = sphere_product_ring([2] * (k + 1))
-    ring = pres.ring
-    y = ring.gens()
-    first = sum(y[1:], y[0])
-    second = -y[0] - y[1]
-    for i in range(2, k + 1):
-        second = second + y[i]
-    product = pres.normal_form(first * second)
-    for j in range(2, k + 1):
-        factor = y[j].scale(-j)
-        for i in range(j + 1, k + 1):
-            factor = factor + y[i]
-        product = pres.normal_form(product * factor)
-    return product
+    rows = [[1] * (k + 1), [-1, -1] + [1] * (k - 1)]
+    rows += [[0] * j + [-j] + [1] * (k - j) for j in range(2, k + 1)]
+    ring = GradedRing(tuple(f"y{j}" for j in range(k + 1)), (2,) * (k + 1))
+    top = Monomial.make({j: 1 for j in range(k + 1)})
+    return GradedPoly(ring, {top: _permanent(rows)})
+
+
+def _permanent(rows: list[list[int]]) -> int:
+    """Ryser's formula ``(-1)^n sum_S (-1)^|S| prod_i sum_{j in S} a_ij``.
+
+    The column subsets S run in Gray-code order, so each step adds or drops
+    one column from the row sums.
+    """
+    n = len(rows)
+    sums = [0] * n
+    total = 0
+    for step in range(1, 1 << n):
+        column = (step & -step).bit_length() - 1
+        subset = step ^ (step >> 1)
+        sign = 1 if subset >> column & 1 else -1
+        for i, row in enumerate(rows):
+            sums[i] += sign * row[column]
+        total += (-1) ** bin(subset).count("1") * math.prod(sums)
+    return (-1) ** n * total

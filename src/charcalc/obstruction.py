@@ -51,8 +51,6 @@ class DegreeBasis:
 
 def degree_basis(pres: RingPresentation, d: int) -> DegreeBasis:
     """Basis of the degree-d component: the irreducible monomials of degree d."""
-    if d < 0:
-        return DegreeBasis(d, ())
     return DegreeBasis(d, tuple(basis_monomials(pres, d)))
 
 
@@ -205,7 +203,9 @@ def hard_lefschetz_check(pres: RingPresentation, a: GradedPoly, n: int) -> bool:
         raise InvalidInputError("a must be homogeneous of degree 2")
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
+    power = pres.ring.one()
     for k in range(1, n + 1):
+        power = pres.normal_form(power * a)
         source = basis_monomials(pres, n - k)
         targetb = basis_monomials(pres, n + k)
         if len(source) != len(targetb):
@@ -213,7 +213,6 @@ def hard_lefschetz_check(pres: RingPresentation, a: GradedPoly, n: int) -> bool:
         if not source:
             continue
         index = {m: j for j, m in enumerate(targetb)}
-        power = pres.normal_form(a ** k)
         rows = []
         for monomial in source:
             image = pres.normal_form(

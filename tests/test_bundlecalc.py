@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,15 @@ from charcalc.bundlecalc import (
     parse_bundle_expr,
     sphere_eval,
     total_chern_class,
+    universal_leaves,
 )
 from charcalc.exactring import InvalidInputError
-from charcalc.symfun import Partition, to_monomial_basis
+from charcalc.symfun import (
+    Partition,
+    sigma_top_coefficient,
+    to_elementary,
+    to_monomial_basis,
+)
 
 
 def test_ranks():
@@ -185,6 +192,49 @@ def test_sphere_eval_additive_over_sum():
         assert sphere_eval(Sum(left, right), k) == sphere_eval(left, k) + sphere_eval(right, k)
 
 
+def expanded_sphere_eval(expr, k):
+    """Oracle: expand c_k over the Chern roots, convert it to the elementary
+    basis and read off ``(k-1)!`` times the coefficient of sigma_k."""
+    v = universal_leaves(expr)[0].m
+    cls = chern_class(expr, k)
+    if cls.is_zero():
+        return Fraction(0)
+    elem = to_elementary(cls, v)
+    return Fraction(math.factorial(k - 1)) * sigma_top_coefficient(elem, k)
+
+
+# The tree shapes of the benchmark's sphere panel, over one leaf.
+SPHERE_TEMPLATES = [
+    lambda e: e,
+    lambda e: Lambda2(e),
+    lambda e: Sum(e, Trivial(1)),
+    lambda e: Tensor(e, e),
+    lambda e: Sum(Lambda2(e), e),
+    lambda e: Lambda2(Sum(e, Trivial(1))),
+    lambda e: Sum(Tensor(e, e), Lambda2(e)),
+    lambda e: Tensor(Sum(e, Trivial(1)), e),
+]
+
+
+def test_sphere_eval_matches_expansion():
+    for m in range(1, 6):
+        for template in SPHERE_TEMPLATES:
+            E = Universal(m)
+            plain = template(E)
+            # the oracle needs seconds for ranks 25 to 35; duals there only repeat signs
+            variants = [plain, template(Dual(E)), Dual(plain)] if plain.rank <= 16 else [plain]
+            for expr in variants:
+                for k in range(1, m + 2):
+                    assert sphere_eval(expr, k) == expanded_sphere_eval(expr, k), (expr, k)
+
+
+def test_sphere_eval_past_the_leaf_rank_is_zero():
+    E = Universal(2)
+    for expr in (E, Lambda2(E), Tensor(E, Dual(E)), Sum(E, Trivial(3))):
+        assert sphere_eval(expr, 3) == 0
+        assert sphere_eval(expr, 50) == 0
+
+
 def test_sphere_eval_multiple_leaves_rejected():
     with pytest.raises(EvaluationModelError):
         sphere_eval(Sum(Universal(2), Universal(2)), 2)
@@ -202,6 +252,18 @@ def test_parse_bundle_expr():
         parse_bundle_expr("sum(E2)")
     with pytest.raises(InvalidInputError):
         parse_bundle_expr("E2 trailing")
+
+
+def test_balanced_tensor_matches_left_deep():
+    expr = parse_bundle_expr("tensor(E2,E2,E2,E2,E2)")
+    E = universal_leaves(expr)[0]
+    left_deep = E
+    for _ in range(4):
+        left_deep = Tensor(left_deep, E)
+    assert chern_roots(expr) == chern_roots(left_deep)
+    for k in range(1, 4):
+        assert chern_class(expr, k) == chern_class(left_deep, k)
+        assert sphere_eval(expr, k) == sphere_eval(left_deep, k)
 
 
 def test_tensor_with_line_shifts_roots():

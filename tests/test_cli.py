@@ -1,5 +1,7 @@
 import json
+import math
 import re
+from decimal import Decimal
 
 from charcalc import bundlecalc, cli
 
@@ -261,6 +263,26 @@ def test_json_round_trip_bytes(capsys):
     _, out, _ = run_cli(capsys, "flag", "--dims", "2,2", "--emit", "dims")
     payload = json.loads(out)
     assert json.dumps(payload, sort_keys=True, separators=(",", ":")) == out.strip()
+
+
+def test_answers_past_the_int_digit_limit_print(capsys):
+    code, out, err = run_cli(capsys, "poly", "--gens", "y:2", "--a", "2*y", "--op", "pow", "--e", "20000")
+    assert code == 0, err
+    coefficient, _, monomial = json.loads(out)["result"].partition("*")
+    assert monomial == "y^20000" and len(coefficient) == 6021
+    assert int(Decimal(coefficient)) == 2 ** 20000
+    code, out, err = run_cli(capsys, "chern", "--expr", "E2000", "--k", "2000", "--eval", "sphere")
+    assert code == 0, err
+    assert int(Decimal(json.loads(out)["value"])) == math.factorial(1999)  # 5733 digits
+
+
+def test_long_sum_expression_evaluates(capsys):
+    expr = "sum(" + ",".join(["E1"] * 1500) + ")"
+    code, out, err = run_cli(capsys, "chern", "--expr", expr, "--k", "1")
+    assert code == 0, err
+    assert json.loads(out) == {"class": "1500*t1", "degree": 2}
+    code, out, _ = run_cli(capsys, "chern", "--expr", expr, "--k", "1", "--eval", "sphere")
+    assert json.loads(out) == {"value": "1500"}
 
 
 def test_registry_covers_every_operation():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from charcalc import coupling
 from charcalc.coupling import (
     CouplingInput,
     DegeneracyError,
@@ -48,6 +49,20 @@ def test_trivial_bundle_coupling_is_fiber_class():
     assert coupling_class(data) == u
     for k in (1, 2):
         assert mu_class(data, k).is_zero()
+
+
+def test_fiber_volume_is_integrated_once(monkeypatch):
+    pres = s4_bundle(2, 2)
+    data = CouplingInput(pres, pres.ring.gen("c"), 2)
+    calls = []
+    original = coupling.fiber_integrate
+    monkeypatch.setattr(
+        coupling, "fiber_integrate", lambda p, pres: calls.append(p) or original(p, pres)
+    )
+    for _ in range(3):
+        coupling_class(data)
+    assert data.fiber_volume == 1
+    assert len(calls) == 3  # one excess integral per call, no volume integral
 
 
 def test_twisted_u_coupling_still_normalizes():

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charcalc.equivariant import (
     TrivialActionError,
@@ -133,6 +135,36 @@ def test_mu_of_circle_even_nonvanishing(rng):
         action = WeightedCircleAction(n, weights)
         for k in (2, 4, 6):
             assert mu_of_circle(action, k) != 0
+
+
+def expanded_mu_of_circle(action, k):
+    """Oracle: expand H^k over the simplex and integrate it monomial by monomial."""
+    h = normalized_moment(action)
+    value = moment_integral(h ** k, action.n)
+    sign = -1 if k % 2 else 1
+    return Fraction(sign * math.comb(action.n + k, action.n)) * value
+
+
+def test_mu_of_circle_matches_expansion(rng):
+    for _ in range(25):
+        n = rng.randint(1, 5)
+        weights = tuple(rng.randint(-5, 5) for _ in range(n + 1))
+        if len(set(weights)) == 1:
+            continue
+        action = WeightedCircleAction(n, weights)
+        for k in range(1, 7):
+            assert mu_of_circle(action, k) == expanded_mu_of_circle(action, k), (weights, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-20, 20), min_size=2, max_size=8).filter(lambda w: len(set(w)) > 1),
+    st.integers(1, 5),
+)
+def test_mu_of_circle_even_powers_are_positive(weights, half_k):
+    # even complete homogeneous polynomials are positive definite (Hunter 1977)
+    action = WeightedCircleAction(len(weights) - 1, tuple(weights))
+    assert mu_of_circle(action, 2 * half_k) > 0
 
 
 def test_mu_of_circle_scaling(rng):

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,13 @@ def test_canonical_encoding_golden():
     assert str(p) == "1 + -4*x1 + -2*x2 + 4*x1^2 + 4*x1*x2 + 1*x2^2"
     assert str(ring.zero()) == "0"
     assert str(ring.constant(Fraction(-7, 3))) == "-7/3"
+
+
+def test_format_rational_prints_past_the_int_digit_limit():
+    big = 7 ** 7000  # 5916 digits; str(int) stops at 4300
+    numerator, denominator = format_rational(Fraction(-big, 3)).split("/")
+    assert denominator == "3" and len(numerator) == 5917
+    assert int(Decimal(numerator)) == -big
 
 
 def test_rational_round_trip(rng):

@@ -147,6 +147,14 @@ def test_grassmannian_totals():
             assert total == math.comb(m + k, k)
 
 
+def test_grassmannian_is_the_two_block_flag():
+    assert grassmannian_presentation(3, 2) is flag_presentation((3, 2))
+    assert grassmannian_presentation(3, 2).family == "grassmannian"
+    assert flag_presentation((2, 1, 1)).family == "flag"
+    # the dual order is accepted, and presents generators y1..y3
+    assert grassmannian_presentation(2, 3).ring.generators == ("y1", "y2", "y3")
+
+
 def test_flag_small_cases():
     assert dimension_vector(flag_presentation((1, 1))) == [1, 1]
     assert dimension_vector(flag_presentation((2, 1))) == [1, 1, 1]

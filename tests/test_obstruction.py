@@ -406,6 +406,45 @@ def test_hard_lefschetz_full_flag():
     )
 
 
+def expanded_hard_lefschetz(pres, a, n):
+    """Oracle: every power a^k expanded in the free ring, ranks over Fractions."""
+    for k in range(1, n + 1):
+        source = degree_basis(pres, n - k).monomials
+        target = degree_basis(pres, n + k).monomials
+        if len(source) != len(target):
+            return False
+        index = {m: j for j, m in enumerate(target)}
+        power = a ** k
+        rows = [
+            {index[m]: c for m, c in pres.normal_form(
+                power * GradedPoly(pres.ring, {monomial: Fraction(1)})
+            ).terms.items()}
+            for monomial in source
+        ]
+        if len(fraction_row_reduce(rows)) != len(rows):
+            return False
+    return True
+
+
+def test_hard_lefschetz_matches_expanded_powers(rng):
+    spaces = [
+        (projective_space(4), 4),
+        (sphere_product_ring([2, 2, 2]), 3),
+        (flag_presentation((1, 1, 1)), 3),
+        (flag_presentation((2, 1, 1)), 5),
+        (grassmannian_presentation(3, 2), 6),
+    ]
+    for pres, n in spaces:
+        degree_two = [g for g, d in zip(pres.ring.gens(), pres.ring.degrees) if d == 2]
+        for _ in range(4):
+            a = pres.ring.zero()
+            for g in degree_two:
+                a = a + g.scale(rng.choice([-2, -1, 0, 1, 3]))
+            if a.is_zero():
+                continue
+            assert hard_lefschetz_check(pres, a, n) == expanded_hard_lefschetz(pres, a, n)
+
+
 def test_hard_lefschetz_validation():
     pres = projective_space(2)
     with pytest.raises(InvalidInputError):
