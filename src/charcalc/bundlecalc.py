@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, TypeVar
 
 from .exactring import (
     CharcalcError,
@@ -40,6 +41,9 @@ __all__ = [
     "sphere_eval",
     "parse_bundle_expr",
 ]
+
+
+_T = TypeVar("_T")
 
 
 class EvaluationModelError(CharcalcError):
@@ -122,26 +126,43 @@ class Lambda2(BundleExpr):
         return r * (r - 1) // 2
 
 
+def _children(node: BundleExpr) -> tuple[BundleExpr, ...]:
+    if isinstance(node, (Dual, Lambda2)):
+        return (node.inner,)
+    if isinstance(node, (Sum, Tensor)):
+        return (node.left, node.right)
+    if isinstance(node, (Universal, Trivial)):
+        return ()
+    raise InvalidInputError(f"unknown bundle node {node!r}")
+
+
+def _fold(expr: BundleExpr, visit: Callable[[BundleExpr, list[_T]], _T]) -> _T:
+    """``visit(node, values of its children)`` bottom-up over the tree, with an
+    explicit stack, so nesting depth is not bounded by the recursion limit."""
+    values: list[_T] = []
+    stack: list[tuple[BundleExpr, bool]] = [(expr, False)]
+    while stack:
+        node, expanded = stack.pop()
+        children = _children(node)
+        if expanded:
+            start = len(values) - len(children)
+            values[start:] = [visit(node, values[start:])]
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(children))
+    return values[0]
+
+
 def universal_leaves(expr: BundleExpr) -> list[Universal]:
     """Distinct universal leaves in first-visit order (identity-based)."""
-    seen: list[Universal] = []
-
-    def walk(node: BundleExpr) -> None:
+    seen: dict[int, Universal] = {}
+    stack = [expr]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Universal):
-            if not any(node is leaf for leaf in seen):
-                seen.append(node)
-        elif isinstance(node, (Dual, Lambda2)):
-            walk(node.inner)
-        elif isinstance(node, (Sum, Tensor)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Trivial):
-            return
-        else:
-            raise InvalidInputError(f"unknown bundle node {node!r}")
-
-    walk(expr)
-    return seen
+            seen.setdefault(id(node), node)
+        stack.extend(reversed(_children(node)))
+    return list(seen.values())
 
 
 def root_ring(expr: BundleExpr) -> tuple[GradedRing, dict[int, int]]:
@@ -164,30 +185,26 @@ def chern_roots(expr: BundleExpr) -> list[GradedPoly]:
     """Chern roots as degree-2 linear forms; length equals the rank."""
     ring, offsets = root_ring(expr)
 
-    def roots_of(node: BundleExpr) -> list[GradedPoly]:
+    def roots_of(node: BundleExpr, inner: list[list[GradedPoly]]) -> list[GradedPoly]:
         if isinstance(node, Universal):
             start = offsets[id(node)]
             return [ring.gen(start + i) for i in range(node.m)]
         if isinstance(node, Trivial):
             return [ring.zero() for _ in range(node.r)]
         if isinstance(node, Dual):
-            return [-r for r in roots_of(node.inner)]
+            return [-r for r in inner[0]]
         if isinstance(node, Sum):
-            return roots_of(node.left) + roots_of(node.right)
+            return inner[0] + inner[1]
         if isinstance(node, Tensor):
-            left = roots_of(node.left)
-            right = roots_of(node.right)
-            return [a + b for a in left for b in right]
-        if isinstance(node, Lambda2):
-            inner = roots_of(node.inner)
-            return [
-                inner[i] + inner[j]
-                for i in range(len(inner))
-                for j in range(i + 1, len(inner))
-            ]
-        raise InvalidInputError(f"unknown bundle node {node!r}")
+            return [a + b for a in inner[0] for b in inner[1]]
+        roots = inner[0]  # Lambda2
+        return [
+            roots[i] + roots[j]
+            for i in range(len(roots))
+            for j in range(i + 1, len(roots))
+        ]
 
-    return roots_of(expr)
+    return _fold(expr, roots_of)
 
 
 def total_chern_class(expr: BundleExpr, max_degree: int) -> GradedPoly:
@@ -233,27 +250,28 @@ def sphere_eval(expr: BundleExpr, k: int) -> Rational:
     return Fraction(math.factorial(k - 1) * _rank_and_power_sum(expr, k)[1])
 
 
-def _rank_and_power_sum(node: BundleExpr, k: int) -> tuple[int, int]:
-    """Rank of ``node`` and the integer ``a_k`` with ``p_k(roots) = a_k p_k(leaf)``
+def _rank_and_power_sum(expr: BundleExpr, k: int) -> tuple[int, int]:
+    """Rank of ``expr`` and the integer ``a_k`` with ``p_k(roots) = a_k p_k(leaf)``
     modulo decomposables; by Newton's identity ``c_k = (-1)^(k-1) p_k / k``,
     ``a_k`` is then the sigma_k-coefficient of ``c_k``."""
-    if isinstance(node, Universal):
-        return node.m, 1
-    if isinstance(node, Trivial):
-        return node.r, 0
-    if isinstance(node, Dual):
-        rank, a = _rank_and_power_sum(node.inner, k)
-        return rank, (-1) ** k * a
-    if isinstance(node, Lambda2):
-        rank, a = _rank_and_power_sum(node.inner, k)
-        return rank * (rank - 1) // 2, (rank - 2 ** (k - 1)) * a
-    if isinstance(node, (Sum, Tensor)):
-        left_rank, left = _rank_and_power_sum(node.left, k)
-        right_rank, right = _rank_and_power_sum(node.right, k)
+
+    def visit(node: BundleExpr, inner: list[tuple[int, int]]) -> tuple[int, int]:
+        if isinstance(node, Universal):
+            return node.m, 1
+        if isinstance(node, Trivial):
+            return node.r, 0
+        if isinstance(node, Dual):
+            rank, a = inner[0]
+            return rank, (-1) ** k * a
+        if isinstance(node, Lambda2):
+            rank, a = inner[0]
+            return rank * (rank - 1) // 2, (rank - 2 ** (k - 1)) * a
+        (left_rank, left), (right_rank, right) = inner
         if isinstance(node, Sum):
             return left_rank + right_rank, left + right
         return left_rank * right_rank, left_rank * right + right_rank * left
-    raise InvalidInputError(f"unknown bundle node {node!r}")
+
+    return _fold(expr, visit)
 
 
 def _balanced(node: type, args: list[BundleExpr]) -> BundleExpr:

@@ -90,6 +90,15 @@ def _from_flag(flag: str, parse: Callable[..., _T], *args) -> _T:
         raise InvalidInputError(f"{flag}: {exc}") from exc
 
 
+def _int_flag(text: str) -> int:
+    """The argparse type of every integer flag: decimal digits, as ``parse_int``
+    reads them; argparse names the flag in the error."""
+    try:
+        return parse_int(text)
+    except InvalidInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
         return [int(piece) for piece in text.split(",") if piece.strip() != ""]
@@ -118,10 +127,10 @@ def _parse_space(text: str) -> RingPresentation:
         dims = _parse_int_list(spec[len("gr:"):], "--space")
         if len(dims) != 2:
             raise InvalidInputError("--space: gr takes exactly two block sizes")
-        return flagcoh.grassmannian_presentation(dims[0], dims[1])
+        return _from_flag("--space", flagcoh.grassmannian_presentation, dims[0], dims[1])
     if spec.startswith("flag:"):
         dims = _parse_int_list(spec[len("flag:"):], "--space")
-        return flagcoh.flag_presentation(dims)
+        return _from_flag("--space", flagcoh.flag_presentation, dims)
     if spec.startswith("pe:"):
         dims = _parse_int_list(spec[len("pe:"):], "--space")
         if len(dims) != 2:
@@ -217,7 +226,7 @@ def _cmd_chern(args) -> tuple[dict, int]:
         return _rational_payload(bundlecalc.sphere_eval(expr, args.k)), 0
     if args.emit == "roots":
         roots = bundlecalc.chern_roots(expr)
-        return {"rank": expr.rank, "roots": [str(r) for r in roots]}, 0
+        return {"rank": len(roots), "roots": [str(r) for r in roots]}, 0
     cls = bundlecalc.chern_class(expr, args.k)
     if args.emit == "monomial-symmetric":
         return {"monomial_symmetric": str(symfun.to_monomial_basis(cls))}, 0
@@ -249,7 +258,8 @@ def _cmd_flag(args) -> tuple[dict, int]:
         return {"series": [str(f) for f in series]}, 0
     if args.dims is None:
         raise InvalidInputError("--dims: required unless --inverse-series is used")
-    pres = flagcoh.flag_presentation(_parse_int_list(args.dims, "--dims"))
+    dims = _parse_int_list(args.dims, "--dims")
+    pres = _from_flag("--dims", flagcoh.flag_presentation, dims)
     return _presentation_payload(pres, args.emit), 0
 
 
@@ -753,8 +763,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--a", required=True)
     p_poly.add_argument("--b")
     p_poly.add_argument("--op", choices=("add", "mul", "pow", "none"), default="none")
-    p_poly.add_argument("--e", type=int)
-    p_poly.add_argument("--component", type=int)
+    p_poly.add_argument("--e", type=_int_flag)
+    p_poly.add_argument("--component", type=_int_flag)
     p_poly.set_defaults(handler=_cmd_poly)
 
     p_sym = sub.add_parser("sym", help="symmetric function calculus")
@@ -764,13 +774,13 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p_sym.add_argument("--partition")
-    p_sym.add_argument("--vars", type=int, required=True)
-    p_sym.add_argument("--k", type=int)
+    p_sym.add_argument("--vars", type=_int_flag, required=True)
+    p_sym.add_argument("--k", type=_int_flag)
     p_sym.set_defaults(handler=_cmd_sym)
 
     p_chern = sub.add_parser("chern", help="Chern classes of bundle expressions")
     p_chern.add_argument("--expr", required=True)
-    p_chern.add_argument("--k", type=int, required=True)
+    p_chern.add_argument("--k", type=_int_flag, required=True)
     p_chern.add_argument("--eval", choices=("sphere", "none"), default="none")
     p_chern.add_argument(
         "--emit", choices=("class", "roots", "monomial-symmetric"), default="class"
@@ -780,8 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_flag = sub.add_parser("flag", help="flag manifold presentations")
     p_flag.add_argument("--dims")
     p_flag.add_argument("--emit", choices=("relations", "basis", "dims"), default="dims")
-    p_flag.add_argument("--inverse-series", type=int, dest="inverse_series")
-    p_flag.add_argument("--degree", type=int)
+    p_flag.add_argument("--inverse-series", type=_int_flag, dest="inverse_series")
+    p_flag.add_argument("--degree", type=_int_flag)
     p_flag.set_defaults(handler=_cmd_flag)
 
     p_bundle = sub.add_parser("bundle", help="presented total spaces and fiber integration")
@@ -791,41 +801,41 @@ def build_parser() -> argparse.ArgumentParser:
     p_bundle.add_argument("--normal")
     p_bundle.add_argument("--coefficient")
     p_bundle.add_argument("--basis-element", dest="basis_element")
-    p_bundle.add_argument("--phi", type=int)
+    p_bundle.add_argument("--phi", type=_int_flag)
     p_bundle.set_defaults(handler=_cmd_bundle)
 
     p_mu = sub.add_parser("mu", help="coupling classes and their fiber integrals")
     p_mu.add_argument("--space", choices=("pcn-bundle", "trivial"), required=True)
     p_mu.add_argument("--base", required=True, help="even sphere base, e.g. s4")
-    p_mu.add_argument("--n", type=int, required=True)
-    p_mu.add_argument("--k", type=int)
+    p_mu.add_argument("--n", type=_int_flag, required=True)
+    p_mu.add_argument("--k", type=_int_flag)
     p_mu.add_argument("--emit", choices=("class", "coupling"), default="class")
     p_mu.add_argument("--nu", action="store_true", help="use the section-normalized class")
-    p_mu.add_argument("--kappa", type=int, help="exponent for the vertical-class shape")
+    p_mu.add_argument("--kappa", type=_int_flag, help="exponent for the vertical-class shape")
     p_mu.set_defaults(handler=_cmd_mu)
 
     p_equi = sub.add_parser("equi", help="exact circle-action integrals")
     equi_sub = p_equi.add_subparsers(dest="equi_op", required=True)
     eq_mu = equi_sub.add_parser("mu")
-    eq_mu.add_argument("--n", type=int, required=True)
+    eq_mu.add_argument("--n", type=_int_flag, required=True)
     eq_mu.add_argument("--weights", required=True)
-    eq_mu.add_argument("--k", type=int, required=True)
+    eq_mu.add_argument("--k", type=_int_flag, required=True)
     eq_su = equi_sub.add_parser("su-product")
-    eq_su.add_argument("--ell", type=int, required=True)
-    eq_su.add_argument("--k", type=int, required=True)
+    eq_su.add_argument("--ell", type=_int_flag, required=True)
+    eq_su.add_argument("--k", type=_int_flag, required=True)
     eq_nu = equi_sub.add_parser("nu1")
-    eq_nu.add_argument("--n", type=int, required=True)
+    eq_nu.add_argument("--n", type=_int_flag, required=True)
     eq_nu.add_argument("--weights", required=True)
-    eq_nu.add_argument("--vertex", type=int, required=True)
+    eq_nu.add_argument("--vertex", type=_int_flag, required=True)
     eq_simplex = equi_sub.add_parser("simplex")
     eq_simplex.add_argument("--alpha", required=True)
-    eq_simplex.add_argument("--n", type=int, required=True)
+    eq_simplex.add_argument("--n", type=_int_flag, required=True)
     eq_moment = equi_sub.add_parser("moment")
-    eq_moment.add_argument("--n", type=int, required=True)
+    eq_moment.add_argument("--n", type=_int_flag, required=True)
     eq_moment.add_argument("--weights", required=True)
     eq_integral = equi_sub.add_parser("integral")
     eq_integral.add_argument("--poly", required=True)
-    eq_integral.add_argument("--n", type=int, required=True)
+    eq_integral.add_argument("--n", type=_int_flag, required=True)
     for sub_parser in (eq_mu, eq_su, eq_nu, eq_simplex, eq_moment, eq_integral):
         sub_parser.set_defaults(handler=_cmd_equi)
 
@@ -842,7 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
     ob_hl.add_argument("--class", dest="cls", required=True)
     ob_dims = ob_sub.add_parser("dims")
     ob_dims.add_argument("--space", required=True)
-    ob_dims.add_argument("--degree", type=int, required=True)
+    ob_dims.add_argument("--degree", type=_int_flag, required=True)
     ob_member = ob_sub.add_parser("member")
     ob_member.add_argument("--space", required=True)
     ob_member.add_argument("--z", required=True)

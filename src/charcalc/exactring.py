@@ -627,8 +627,9 @@ def tokenize(text: str) -> list[str]:
 
 
 def parse_int(token: str) -> int:
-    """A nonnegative integer written in decimal digits; anything else is an input error."""
-    if not token.isdecimal():
+    """A nonnegative integer written in ASCII decimal digits; anything else,
+    other scripts' digits included, is an input error."""
+    if not (token.isascii() and token.isdecimal()):
         raise InvalidInputError(f"expected decimal digits, got {token!r}")
     try:
         return int(token)

@@ -7,13 +7,21 @@ square-zero generators.  Fiber integration reads off the coefficient of the
 top fiber class in a Leray-Hirsch presentation.
 
 Relations are turned into rewrite rules degree by degree with exact linear
-elimination: within each degree the span of all monomial multiples of the
+elimination: within each degree the span of the monomial multiples of the
 relations is row-reduced against the graded-lex monomial order, and each
 pivot not already covered by a lower-degree rule becomes a rule.  The result
 is a terminating, confluent system on the finitely many degrees that matter
 (everything above the top degree reduces to zero), without any general-purpose
 Groebner machinery.  The elimination clears denominators and runs over the
 integers, fraction-free; only the finished rows become ``Fraction`` rows.
+
+Not every multiple is eliminated.  Rows enter in relation order, and the
+multiple ``m*r_i`` is left out when ``m`` is a leading monomial of the span
+of ``r_1..r_{i-1}`` in its own degree: the signature criterion of matrix-F5
+(Faugere, ISSAC 2002; Bardet-Faugere-Salvy, J. Symb. Comput. 2015).  Such a
+row lies in the span of the rows that are kept, so every degree's span and
+its reduced echelon form, hence the rules, are unchanged; on the flag and
+Grassmannian relations no kept row reduces to zero.
 """
 
 from __future__ import annotations
@@ -177,6 +185,15 @@ def _rref_rules(
     Processes every even degree up to ``top_degree + max generator degree``;
     above the top degree the quotient must vanish, which the elimination
     verifies as it goes.
+
+    Each degree's rows are fed to elimination in relation order, and the row
+    ``m*r_i`` is skipped when ``m`` is a leading monomial of the span of
+    ``r_1..r_{i-1}`` in degree ``deg m`` (the matrix-F5 signature criterion).
+    If ``g`` in that span leads with ``m``, then ``m*r_i = g*r_i - (g-m)*r_i``:
+    ``g*r_i`` lies in the span of the multiples of ``r_1..r_{i-1}`` and
+    ``(g-m)*r_i`` in that of rows ``m'*r_i`` with ``m' < m``.  So the span in
+    every degree, and with it the reduced echelon form, is unchanged; the skip
+    needs no regularity of the relations.
     """
     if not relations:
         return {}
@@ -187,30 +204,33 @@ def _rref_rules(
     limit = top_degree + max_gen
     rules: dict[Monomial, GradedPoly] = {}
     min_degree = min(r.homogeneous_degree() for r in relations)
+    # degree -> leading monomial of the span -> index of the relation whose
+    # rows first produced it
+    introduced: dict[int, dict[Monomial, int]] = {}
 
     for degree in range(min_degree, limit + 1, 2):
         columns = monomials_of_degree(ring, degree)
         if not columns:
             continue
         index = {m: j for j, m in enumerate(columns)}
-        rows: list[dict[int, Fraction]] = []
-        for relation in relations:
+        pivots: dict[int, dict[int, int]] = {}
+        leads: dict[Monomial, int] = {}
+        for i, relation in enumerate(relations):
             rel_degree = relation.homogeneous_degree()
             if rel_degree > degree:
                 continue
-            for multiplier in monomials_of_degree(ring, degree - rel_degree):
-                row: dict[int, Fraction] = {}
-                for monomial, coeff in relation.terms.items():
-                    j = index[multiplier * monomial]
-                    value = row.get(j, Fraction(0)) + coeff
-                    if value:
-                        row[j] = value
-                    else:
-                        row.pop(j, None)
-                if row:
-                    rows.append(row)
-        pivots = _row_reduce(rows)
-        for pivot_col, row in sorted(pivots.items()):
+            earlier = introduced.get(degree - rel_degree, {})
+            rows = [
+                {index[multiplier * monomial]: c for monomial, c in relation.terms.items()}
+                for multiplier in monomials_of_degree(ring, degree - rel_degree)
+                if earlier.get(multiplier, i) >= i
+            ]
+            before = len(pivots)
+            _reduce_forward(rows, pivots)
+            for col in itertools.islice(pivots, before, None):
+                leads[columns[col]] = i
+        introduced[degree] = leads
+        for pivot_col, row in sorted(_back_substitute(pivots).items()):
             lhs = columns[pivot_col]
             if any(known.divides(lhs) for known in rules):
                 continue
@@ -224,12 +244,18 @@ def _rref_rules(
 
 
 def _row_reduce(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Exact reduced row echelon form on sparse rows; pivot column -> row.
-
-    Each row is cleared of denominators and eliminated over the integers; the
-    rows are divided by their leading entries only once, at the end.
-    """
+    """Exact reduced row echelon form on sparse rows; pivot column -> row."""
     pivots: dict[int, dict[int, int]] = {}
+    _reduce_forward(rows, pivots)
+    return _back_substitute(pivots)
+
+
+def _reduce_forward(rows: list[dict[int, Fraction]], pivots: dict[int, dict[int, int]]) -> None:
+    """Echelon ``rows`` into ``pivots`` (pivot column -> integer row) in place.
+
+    Each row is cleared of denominators and eliminated over the integers; a
+    row that does not reduce to zero adds one pivot, in insertion order.
+    """
     for row in rows:
         scale = math.lcm(*(c.denominator for c in row.values()))
         current = {j: c.numerator * (scale // c.denominator) for j, c in row.items()}
@@ -239,12 +265,17 @@ def _row_reduce(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction
                 pivots[col] = _make_primitive(current, col)
                 break
             _eliminate(current, pivots[col], col)
-    # back-substitute so every pivot row is reduced against the others
-    for col in sorted(pivots, reverse=True):
+
+
+def _back_substitute(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced echelon form of forward-eliminated ``pivots``, which are reduced
+    against each other in place; rows are divided by their leading entries
+    only once, at the end."""
+    order = sorted(pivots)
+    for k in range(len(order) - 1, 0, -1):
+        col = order[k]
         row = pivots[col]
-        for other_col in sorted(pivots):
-            if other_col >= col:
-                break
+        for other_col in order[:k]:
             other = pivots[other_col]
             if col in other:
                 _eliminate(other, row, col)

@@ -266,6 +266,17 @@ def test_balanced_tensor_matches_left_deep():
         assert sphere_eval(expr, k) == sphere_eval(left_deep, k)
 
 
+def test_deep_nesting_walks_without_recursion():
+    E = Universal(2)
+    expr = E
+    for _ in range(10000):
+        expr = Dual(expr)
+    assert universal_leaves(expr) == [E]
+    assert chern_roots(expr) == chern_roots(E)
+    assert chern_class(expr, 2) == chern_class(E, 2)
+    assert sphere_eval(Dual(expr), 1) == -sphere_eval(E, 1)
+
+
 def test_tensor_with_line_shifts_roots():
     # tensoring with a line bundle adds its root to each root
     E, L = Universal(2), Universal(1)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
+import charcalc
 from charcalc import bundlecalc, cli
 
 LONG = "9" * 5000
@@ -201,6 +206,7 @@ def test_validation_exit_codes(capsys):
     assert "--weights" in err
     code, _, err = run_cli(capsys, "flag", "--dims", "1,2", "--emit", "dims")
     assert code == 2
+    assert "--dims" in err
     for argv, flag in (
         (("obstruct", "square", "--space", "cpn:"), "--space"),
         (("obstruct", "square", "--space", "cp2", "--alpha", "c=abc"), "--alpha"),
@@ -237,10 +243,34 @@ def test_validation_exit_codes(capsys):
         (("bundle", "--space", "cp2", "--coefficient", "c", "--basis-element", "zz"),
          "--basis-element"),
         (("equi", "integral", "--poly", "x1^" + LONG, "--n", "2"), "--poly"),
+        (("chern", "--expr", "E٢", "--k", "1"), "--expr"),
+        (("obstruct", "dims", "--space", "flag:1,2", "--degree", "2"), "--space"),
+        (("obstruct", "dims", "--space", "gr:0,2", "--degree", "2"), "--space"),
+        # integer flags read decimal digits through parse_int, as text does
+        (("equi", "mu", "--n", "٢", "--weights=1,-1,0", "--k", "2"), "--n"),
+        (("equi", "su-product", "--ell", "2", "--k", "+1"), "--k"),
+        (("obstruct", "dims", "--space", "cp2", "--degree=-2"), "--degree"),
+        (("poly", "--gens", "y:2", "--a", "y", "--op", "pow", "--e", "1_0"), "--e"),
+        (("sym", "--op", "monomial", "--partition", "2", "--vars", LONG), "--vars"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert flag in err
+
+
+def test_deeply_nested_expression_never_exits_1():
+    # a fresh process, as a user runs it: the parser's recursion has the
+    # stack to itself, so the tree walks after it see the full depth
+    expr = "lambda2(" * 985 + "E2" + ")" * 985
+    env = dict(os.environ, PYTHONPATH=str(Path(charcalc.__file__).parents[1]))
+    for extra in ([], ["--emit", "roots"], ["--eval", "sphere"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "charcalc.cli", "chern", "--expr", expr, "--k", "1", *extra],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 or (proc.returncode == 2 and "--expr" in proc.stderr), (
+            extra, proc.returncode, proc.stderr
+        )
 
 
 def test_unknown_flags_rejected(capsys):

@@ -14,6 +14,7 @@ from charcalc import flagcoh
 from charcalc.flagcoh import (
     FlagSpec,
     SphereProductSpec,
+    _row_reduce,
     _rref_rules,
     basis_monomials,
     dimension_vector,
@@ -224,7 +225,66 @@ def test_dimension_vectors_match_q_multinomial():
         assert dimension_vector(flag_presentation(dims)) == q_multinomial(dims), dims
 
 
-def test_completion_matches_fraction_kernel(monkeypatch):
+def all_multiples_rref_rules(ring, relations, top_degree, row_reduce=_row_reduce):
+    """Oracle: completion from every monomial multiple of every relation.
+
+    This is ``_rref_rules`` without its row selection: each degree's matrix
+    holds all multiples, most of which reduce to zero.
+    """
+    rules = {}
+    limit = top_degree + max(ring.degrees)
+    for degree in range(min(r.homogeneous_degree() for r in relations), limit + 1, 2):
+        columns = monomials_of_degree(ring, degree)
+        index = {m: j for j, m in enumerate(columns)}
+        rows = []
+        for relation in relations:
+            rel_degree = relation.homogeneous_degree()
+            for multiplier in monomials_of_degree(ring, degree - rel_degree):
+                rows.append(
+                    {index[multiplier * m]: c for m, c in relation.terms.items()}
+                )
+        pivots = row_reduce(rows)
+        for pivot_col, row in sorted(pivots.items()):
+            lhs = columns[pivot_col]
+            if any(known.divides(lhs) for known in rules):
+                continue
+            rhs_terms = {columns[j]: -c for j, c in row.items() if j != pivot_col}
+            rules[lhs] = GradedPoly(ring, rhs_terms)
+        assert degree <= top_degree or len(pivots) == len(columns)
+    return rules
+
+
+def assert_same_rules(shipped, oracle):
+    assert list(shipped) == list(oracle)
+    assert [str(rhs) for rhs in shipped.values()] == [str(rhs) for rhs in oracle.values()]
+
+
+# the spaces the presentation-build benchmark builds (pairs are Grassmannians
+# gr(m,k)), and flag(2,2,2)
+BENCHMARK_SPACES = [(m, k) for m in range(1, 5) for k in range(1, 5)] + [
+    (1, 1, 1),
+    (2, 1, 1),
+    (3, 1, 1),
+    (4, 1, 1),
+    (2, 2, 1),
+    (3, 2, 1),
+    (1, 1, 1, 1),
+    (2, 1, 1, 1),
+    (1, 1, 1, 1, 1),
+    (2, 2, 2),
+]
+
+
+@pytest.mark.parametrize("dims", BENCHMARK_SPACES, ids=lambda dims: ",".join(map(str, dims)))
+def test_completion_matches_all_multiples(dims):
+    pres = grassmannian_presentation(*dims) if len(dims) == 2 else flag_presentation(dims)
+    shipped = _rref_rules(pres.ring, pres.relations, pres.top_degree)
+    assert list(shipped) == list(pres.rules)
+    oracle = all_multiples_rref_rules(pres.ring, pres.relations, pres.top_degree)
+    assert_same_rules(shipped, oracle)
+
+
+def test_completion_matches_fraction_kernel():
     spaces = [
         grassmannian_presentation(2, 2),
         grassmannian_presentation(3, 3),
@@ -235,13 +295,37 @@ def test_completion_matches_fraction_kernel(monkeypatch):
     ]
     for pres in spaces:
         shipped = _rref_rules(pres.ring, pres.relations, pres.top_degree)
-        with monkeypatch.context() as patch:
-            patch.setattr(flagcoh, "_row_reduce", fraction_row_reduce)
-            oracle = _rref_rules(pres.ring, pres.relations, pres.top_degree)
-        assert list(shipped) == list(oracle) == list(pres.rules)
-        assert [str(rhs) for rhs in shipped.values()] == [
-            str(rhs) for rhs in oracle.values()
-        ]
+        oracle = all_multiples_rref_rules(
+            pres.ring, pres.relations, pres.top_degree, row_reduce=fraction_row_reduce
+        )
+        assert list(shipped) == list(pres.rules)
+        assert_same_rules(shipped, oracle)
+
+
+@pytest.mark.parametrize("dims, rank", [((4, 4), 647), ((1, 1, 1, 1, 1), 1245)])
+def test_completion_rows_equal_rank(monkeypatch, dims, rank):
+    """Every row handed to elimination adds a pivot: none reduces to zero."""
+    pres = flag_presentation(dims)
+    ring = pres.ring
+    limit = pres.top_degree + max(ring.degrees)
+    quotient = dimension_vector(pres)
+    assert rank == sum(
+        len(monomials_of_degree(ring, degree))
+        - (quotient[degree // 2] if degree <= pres.top_degree else 0)
+        for degree in range(0, limit + 1, 2)
+    )
+    counts = {"rows": 0, "pivots": 0}
+    forward = flagcoh._reduce_forward
+
+    def counting(rows, pivots):
+        before = len(pivots)
+        forward(rows, pivots)
+        counts["rows"] += len(rows)
+        counts["pivots"] += len(pivots) - before
+
+    monkeypatch.setattr(flagcoh, "_reduce_forward", counting)
+    assert_same_rules(_rref_rules(ring, pres.relations, pres.top_degree), pres.rules)
+    assert counts == {"rows": rank, "pivots": rank}
 
 
 def test_flag_spec_validation():
