@@ -29,6 +29,7 @@ from .exactring import (
     format_rational,
     graded_component,
     parse_int,
+    parse_signed_int,
     parse_poly,
     parse_rational,
     poly_arith,
@@ -99,11 +100,10 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(piece) for piece in text.split(",") if piece.strip() != ""]
-    except ValueError:
-        raise InvalidInputError(f"{flag}: expected a comma-separated integer list, got {text!r}")
+def _parse_int_list(text: str, flag: str, parse: Callable[[str], int] = parse_int) -> list[int]:
+    """Comma-separated integers, each read by ``parse``; errors name ``flag``."""
+    pieces = [piece.strip() for piece in text.split(",")]
+    return [_from_flag(flag, parse, piece) for piece in pieces if piece]
 
 
 def _parse_space(text: str) -> RingPresentation:
@@ -174,7 +174,7 @@ def _parse_gens(text: str) -> GradedRing:
     try:
         pieces = [piece.split(":") for piece in text.split(",")]
         names = tuple(name.strip() for name, _ in pieces)
-        degrees = tuple(int(degree) for _, degree in pieces)
+        degrees = tuple(parse_int(degree.strip()) for _, degree in pieces)
     except ValueError:
         raise InvalidInputError("expected name:degree pairs like y1:2,y2:4") from None
     return GradedRing(names, degrees)
@@ -252,8 +252,10 @@ def _presentation_payload(pres: RingPresentation, emit: str) -> dict:
 
 def _cmd_flag(args) -> tuple[dict, int]:
     if args.inverse_series is not None:
-        if args.degree is None:
-            raise InvalidInputError("--degree: required with --inverse-series")
+        if args.inverse_series < 1:
+            raise InvalidInputError("--inverse-series: need at least one variable")
+        if args.degree is None or args.degree < 1:
+            raise InvalidInputError("--degree: a degree of at least 1 is required with --inverse-series")
         series = flagcoh.inverse_series(args.inverse_series, args.degree)
         return {"series": [str(f) for f in series]}, 0
     if args.dims is None:
@@ -330,14 +332,14 @@ def _cmd_equi(args) -> tuple[dict, int]:
     payload: dict
     if args.equi_op == "mu":
         action = equivariant.WeightedCircleAction(
-            args.n, tuple(_parse_int_list(args.weights, "--weights"))
+            args.n, tuple(_parse_int_list(args.weights, "--weights", parse_signed_int))
         )
         payload = _rational_payload(equivariant.mu_of_circle(action, args.k))
     elif args.equi_op == "su-product":
         payload = _rational_payload(equivariant.su_product_integral(args.ell, args.k))
     elif args.equi_op == "nu1":
         action = equivariant.WeightedCircleAction(
-            args.n, tuple(_parse_int_list(args.weights, "--weights"))
+            args.n, tuple(_parse_int_list(args.weights, "--weights", parse_signed_int))
         )
         payload = _rational_payload(equivariant.nu1_at_fixed_point(action, args.vertex))
     elif args.equi_op == "simplex":
@@ -345,7 +347,7 @@ def _cmd_equi(args) -> tuple[dict, int]:
         payload = _rational_payload(equivariant.simplex_integral(alpha, args.n))
     elif args.equi_op == "moment":
         action = equivariant.WeightedCircleAction(
-            args.n, tuple(_parse_int_list(args.weights, "--weights"))
+            args.n, tuple(_parse_int_list(args.weights, "--weights", parse_signed_int))
         )
         payload = {"moment": str(equivariant.normalized_moment(action))}
     elif args.equi_op == "integral":

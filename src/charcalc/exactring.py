@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "Rational",
@@ -30,6 +30,7 @@ __all__ = [
     "Monomial",
     "GradedPoly",
     "RingPresentation",
+    "RuleIndex",
     "poly_arith",
     "poly_pow",
     "graded_component",
@@ -38,6 +39,7 @@ __all__ = [
     "monomials_of_degree",
     "tokenize",
     "parse_int",
+    "parse_signed_int",
     "parse_poly",
     "parse_rational",
     "format_rational",
@@ -426,27 +428,73 @@ def graded_component(p: GradedPoly, degree: int) -> GradedPoly:
 
 
 def monomials_of_degree(ring: GradedRing, degree: int) -> list[Monomial]:
-    """All monomials of the given total degree, largest first in graded lex."""
-    if degree < 0:
+    """All monomials of the given total degree, largest first in graded lex.
+
+    The walk fixes exponents generator by generator, each from largest to
+    smallest, so it emits the monomials in descending order."""
+    if degree < 0 or (degree and not ring.degrees):
         return []
     results: list[Monomial] = []
+    degrees = ring.degrees
+    last = len(degrees) - 1
 
-    def walk(index: int, remaining: int, chosen: dict[int, int]) -> None:
+    def walk(index: int, remaining: int, chosen: list[tuple[int, int]]) -> None:
         if remaining == 0:
-            results.append(Monomial.make(chosen))
+            results.append(Monomial(tuple(chosen)))
             return
-        if index >= ring.ngens:
+        step = degrees[index]
+        if index == last:
+            if remaining % step == 0:
+                results.append(Monomial((*chosen, (index, remaining // step))))
             return
-        step = ring.degrees[index]
-        for e in range(remaining // step, -1, -1):
-            if e:
-                chosen[index] = e
+        for e in range(remaining // step, 0, -1):
+            chosen.append((index, e))
             walk(index + 1, remaining - e * step, chosen)
-            chosen.pop(index, None)
+            chosen.pop()
+        walk(index + 1, remaining, chosen)
 
-    walk(0, degree, {})
-    results.sort(key=lambda m: m.order_key(ring), reverse=True)
+    walk(0, degree, [])
     return results
+
+
+class RuleIndex:
+    """Rule heads keyed by their support, so a divisibility query only tests
+    heads whose generators all occur in the monomial.
+
+    ``find`` answers what a scan of the heads in insertion order would: the
+    first head that divides the monomial, or None.
+    """
+
+    def __init__(self, heads: Iterable[Monomial] = ()):
+        self._by_support: dict[int, list[tuple[int, Monomial]]] = {}
+        self._count = 0
+        for head in heads:
+            self.add(head)
+
+    def add(self, head: Monomial) -> None:
+        support = sum(1 << i for i, _ in head.exps)
+        self._by_support.setdefault(support, []).append((self._count, head))
+        self._count += 1
+
+    def find(self, monomial: Monomial) -> Monomial | None:
+        exps = dict(monomial.exps)
+        support = 0
+        for i in exps:
+            support |= 1 << i
+        first, found = self._count, None
+        for head_support, heads in self._by_support.items():
+            if head_support & ~support:
+                continue
+            for position, head in heads:
+                if position >= first:
+                    break
+                for i, e in head.exps:
+                    if exps[i] < e:
+                        break
+                else:
+                    first, found = position, head
+                    break
+        return found
 
 
 class RingPresentation:
@@ -478,6 +526,7 @@ class RingPresentation:
         self.family = family
         self.top_degree = top_degree
         self._nf_cache: dict[Monomial, GradedPoly] = {}
+        self._heads = RuleIndex(self.rules)
 
         for lhs, rhs in self.rules.items():
             if lhs.is_one():
@@ -517,10 +566,7 @@ class RingPresentation:
     # -- rewriting -----------------------------------------------------------
 
     def _find_rule(self, monomial: Monomial) -> Monomial | None:
-        for lhs in self.rules:
-            if lhs.divides(monomial):
-                return lhs
-        return None
+        return self._heads.find(monomial)
 
     def is_reducible(self, monomial: Monomial) -> bool:
         return self._find_rule(monomial) is not None
@@ -635,6 +681,15 @@ def parse_int(token: str) -> int:
         return int(token)
     except ValueError:  # more digits than int() converts
         raise InvalidInputError(f"integer of {len(token)} digits is too long") from None
+
+
+def parse_signed_int(token: str) -> int:
+    """An integer in ASCII decimal digits after an optional ``+`` or ``-``."""
+    sign = token[:1]
+    if sign in ("+", "-"):
+        value = parse_int(token[1:])
+        return -value if sign == "-" else value
+    return parse_int(token)
 
 
 def parse_rational(text: str) -> Fraction:

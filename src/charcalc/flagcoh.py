@@ -22,6 +22,12 @@ of ``r_1..r_{i-1}`` in its own degree: the signature criterion of matrix-F5
 row lies in the span of the rows that are kept, so every degree's span and
 its reduced echelon form, hence the rules, are unchanged; on the flag and
 Grassmannian relations no kept row reduces to zero.
+
+Above the top degree the quotient vanishes: forward elimination must reach
+full rank there, the reduced echelon form is then the identity, and each
+monomial no earlier rule divides becomes a rule ``m -> 0`` without
+back-substitution.  Up to the top degree the non-pivot columns are the
+irreducible monomials, so a flag presentation reads its basis off them.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .exactring import (
@@ -40,6 +47,7 @@ from .exactring import (
     Monomial,
     PresentationError,
     RingPresentation,
+    RuleIndex,
     monomials_of_degree,
 )
 
@@ -179,6 +187,7 @@ def _rref_rules(
     ring: GradedRing,
     relations: Sequence[GradedPoly],
     top_degree: int,
+    basis: list[Monomial] | None = None,
 ) -> dict[Monomial, GradedPoly]:
     """Complete homogeneous relations into a confluent rule set.
 
@@ -194,6 +203,13 @@ def _rref_rules(
     ``(g-m)*r_i`` in that of rows ``m'*r_i`` with ``m' < m``.  So the span in
     every degree, and with it the reduced echelon form, is unchanged; the skip
     needs no regularity of the relations.
+
+    Above the top degree forward elimination must reach full rank, and then
+    the reduced echelon form is the identity: back-substitution is skipped
+    and every monomial not divisible by an earlier rule becomes ``m -> 0``.
+    Up to the top degree the non-pivot columns, all of them below the lowest
+    relation degree, are exactly the monomials no rule divides; when
+    ``basis`` is given, they are appended to it as the quotient's basis.
     """
     if not relations:
         return {}
@@ -203,43 +219,58 @@ def _rref_rules(
     max_gen = max(ring.degrees) if ring.degrees else 0
     limit = top_degree + max_gen
     rules: dict[Monomial, GradedPoly] = {}
-    min_degree = min(r.homogeneous_degree() for r in relations)
-    # degree -> leading monomial of the span -> index of the relation whose
-    # rows first produced it
-    introduced: dict[int, dict[Monomial, int]] = {}
+    heads = RuleIndex()
+    rel_degrees = [r.homogeneous_degree() for r in relations]
+    rel_terms = [[(m.dense(ring), c) for m, c in r.terms.items()] for r in relations]
+    max_rel_degree = max(rel_degrees)
+    # degree -> dense exponent vectors of its monomials, kept while the
+    # degree can still be a multiplier degree
+    vectors: dict[int, list[tuple[int, ...]]] = {}
+    # degree -> column of a leading monomial of the span -> index of the
+    # relation whose rows first produced it
+    introduced: dict[int, dict[int, int]] = {}
 
-    for degree in range(min_degree, limit + 1, 2):
+    for degree in range(0, limit + 1, 2):
         columns = monomials_of_degree(ring, degree)
+        vectors[degree] = dense = [m.dense(ring) for m in columns]
+        vectors.pop(degree - max_rel_degree - 2, None)
+        introduced.pop(degree - max_rel_degree - 2, None)
         if not columns:
             continue
-        index = {m: j for j, m in enumerate(columns)}
+        index = {e: j for j, e in enumerate(dense)}
         pivots: dict[int, dict[int, int]] = {}
-        leads: dict[Monomial, int] = {}
-        for i, relation in enumerate(relations):
-            rel_degree = relation.homogeneous_degree()
+        leads: dict[int, int] = {}
+        for i, (rel_degree, terms) in enumerate(zip(rel_degrees, rel_terms)):
             if rel_degree > degree:
                 continue
             earlier = introduced.get(degree - rel_degree, {})
             rows = [
-                {index[multiplier * monomial]: c for monomial, c in relation.terms.items()}
-                for multiplier in monomials_of_degree(ring, degree - rel_degree)
-                if earlier.get(multiplier, i) >= i
+                {index[tuple(map(add, multiplier, t))]: c for t, c in terms}
+                for j, multiplier in enumerate(vectors[degree - rel_degree])
+                if earlier.get(j, i) >= i
             ]
             before = len(pivots)
             _reduce_forward(rows, pivots)
             for col in itertools.islice(pivots, before, None):
-                leads[columns[col]] = i
+                leads[col] = i
         introduced[degree] = leads
-        for pivot_col, row in sorted(_back_substitute(pivots).items()):
-            lhs = columns[pivot_col]
-            if any(known.divides(lhs) for known in rules):
-                continue
-            rhs_terms = {columns[j]: -c for j, c in row.items() if j != pivot_col}
-            rules[lhs] = GradedPoly(ring, rhs_terms)
-        if degree > top_degree and len(pivots) != len(columns):
+        if degree <= top_degree:
+            reduced = _back_substitute(pivots)
+            if basis is not None:
+                basis.extend(m for j, m in enumerate(columns) if j not in pivots)
+        elif len(pivots) == len(columns):  # full rank: the reduced form is the identity
+            reduced = dict.fromkeys(range(len(columns)), {})
+        else:
             raise PresentationError(
                 f"quotient does not vanish above its top degree (degree {degree})"
             )
+        for pivot_col, row in sorted(reduced.items()):
+            lhs = columns[pivot_col]
+            if heads.find(lhs) is not None:
+                continue
+            rhs_terms = {columns[j]: -c for j, c in row.items() if j != pivot_col}
+            rules[lhs] = GradedPoly(ring, rhs_terms)
+            heads.add(lhs)
     return rules
 
 
@@ -386,12 +417,9 @@ def _flag_presentation_cached(dims: tuple[int, ...]) -> RingPresentation:
         raise PresentationError("expected a nonzero relation component")
 
     top_degree = 2 * sum(a * b for a, b in itertools.combinations(dims, 2))
-    rules = _rref_rules(ring, relations, top_degree)
     family = "grassmannian" if len(tail) == 1 else "flag"
-    probe = RingPresentation(ring, rules, relations=tuple(relations), family=family)
     basis: list[Monomial] = []
-    for degree in range(0, top_degree + 1, 2):
-        basis.extend(basis_monomials(probe, degree))
+    rules = _rref_rules(ring, relations, top_degree, basis)
     if sum(1 for b in basis if b.degree(ring) == top_degree) != 1:
         raise PresentationError("top degree component is not one-dimensional")
     return RingPresentation(

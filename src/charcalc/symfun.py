@@ -23,6 +23,7 @@ from .exactring import (
     InvalidInputError,
     Monomial,
     Rational,
+    parse_int,
 )
 
 __all__ = [
@@ -74,11 +75,7 @@ class Partition:
         body = body.strip()
         if not body:
             return Partition(())
-        try:
-            parts = tuple(int(x) for x in body.split(","))
-        except ValueError as exc:
-            raise InvalidInputError(f"malformed partition {text!r}") from exc
-        return Partition(parts)
+        return Partition(tuple(parse_int(x.strip()) for x in body.split(",")))
 
     @property
     def weight(self) -> int:

@@ -197,6 +197,15 @@ def test_obstruct_subcommand(capsys):
     assert json.loads(out)["member"] is True
 
 
+def test_signed_weights(capsys):
+    code, out, _ = run_cli(capsys, "equi", "mu", "--n", "1", "--weights=-1,0", "--k", "2")
+    assert code == 0
+    assert json.loads(out)["value"] == "1/4"
+    code, out, _ = run_cli(capsys, "equi", "mu", "--n", "1", "--weights=+1, 0", "--k", "2")
+    assert code == 0
+    assert json.loads(out)["value"] == "1/4"
+
+
 def test_validation_exit_codes(capsys):
     code, _, err = run_cli(capsys, "equi", "mu", "--n", "2", "--weights", "1,-1", "--k", "2")
     assert code == 2
@@ -252,6 +261,16 @@ def test_validation_exit_codes(capsys):
         (("obstruct", "dims", "--space", "cp2", "--degree=-2"), "--degree"),
         (("poly", "--gens", "y:2", "--a", "y", "--op", "pow", "--e", "1_0"), "--e"),
         (("sym", "--op", "monomial", "--partition", "2", "--vars", LONG), "--vars"),
+        # integer lists and partitions read each entry through parse_int too
+        (("flag", "--dims", "٢,1", "--emit", "dims"), "--dims"),
+        (("flag", "--dims", "+2,1", "--emit", "dims"), "--dims"),
+        (("obstruct", "dims", "--space", "gr:٢,2", "--degree", "2"), "--space"),
+        (("poly", "--gens", "y:٢", "--a", "y"), "--gens"),
+        (("sym", "--op", "monomial", "--partition", "٢", "--vars", "2"), "--partition"),
+        (("equi", "mu", "--n", "1", "--weights=-٢,0", "--k", "2"), "--weights"),
+        (("equi", "simplex", "--alpha", "1,-2,0", "--n", "2"), "--alpha"),
+        (("flag", "--inverse-series", "0", "--degree", "1"), "--inverse-series"),
+        (("flag", "--inverse-series", "2", "--degree", "0"), "--degree"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2

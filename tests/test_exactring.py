@@ -1,3 +1,4 @@
+import itertools
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -14,6 +15,7 @@ from charcalc.exactring import (
     PresentationError,
     RingMismatchError,
     RingPresentation,
+    RuleIndex,
     fiber_coefficient,
     format_rational,
     graded_component,
@@ -184,6 +186,48 @@ def test_monomials_of_degree_sorted_and_complete():
     texts = [m.text(ring) for m in monos]
     assert texts == ["a^4", "a^2*b", "b^2"]
     assert monomials_of_degree(ring, 3) == []
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.sampled_from([2, 4, 6, 8]), min_size=0, max_size=5),
+    st.integers(-2, 24),
+)
+def test_monomials_of_degree_matches_sorted_enumeration(degrees, degree):
+    """The walk's order is the explicitly sorted, de-duplicated one."""
+    ring = GradedRing(tuple(f"x{i}" for i in range(len(degrees))), tuple(degrees))
+    vectors = itertools.product(*(range(max(degree, 0) // d + 1) for d in degrees))
+    want = {
+        Monomial.make(dict(enumerate(v)))
+        for v in vectors
+        if degree >= 0 and sum(e * d for e, d in zip(v, degrees)) == degree
+    }
+    ordered = sorted(want, key=lambda m: m.order_key(ring), reverse=True)
+    assert monomials_of_degree(ring, degree) == ordered
+
+
+def linear_rule_scan(heads, monomial):
+    """Oracle for ``RuleIndex.find``: the first head, in order, dividing ``monomial``."""
+    for head in heads:
+        if head.divides(monomial):
+            return head
+    return None
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**6))
+def test_rule_index_matches_linear_scan(seed):
+    rng = random.Random(seed)
+    ngens = rng.randint(1, 5)
+
+    def monomial(top):
+        return Monomial.make({i: rng.randint(0, top) for i in range(ngens)})
+
+    heads = list(dict.fromkeys(m for m in (monomial(3) for _ in range(12)) if not m.is_one()))
+    index = RuleIndex(heads)
+    for _ in range(40):
+        m = monomial(5)
+        assert index.find(m) == linear_rule_scan(heads, m)
 
 
 def test_canonical_encoding_golden():

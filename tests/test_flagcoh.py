@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from charcalc.exactring import (
     GradedPoly,
     InvalidInputError,
     Monomial,
+    RingPresentation,
     monomials_of_degree,
     parse_poly,
 )
@@ -300,6 +302,42 @@ def test_completion_matches_fraction_kernel():
         )
         assert list(shipped) == list(pres.rules)
         assert_same_rules(shipped, oracle)
+
+
+@pytest.mark.parametrize("dims", BENCHMARK_SPACES, ids=lambda dims: ",".join(map(str, dims)))
+def test_completion_basis_matches_irreducible_monomials(dims):
+    """The basis read off the completion's non-pivot columns is the set of
+    monomials no rule divides, in the same order."""
+    pres = grassmannian_presentation(*dims) if len(dims) == 2 else flag_presentation(dims)
+    probe = RingPresentation(pres.ring, pres.rules)
+    want = [
+        m for degree in range(0, pres.top_degree + 1, 2) for m in basis_monomials(probe, degree)
+    ]
+    assert list(pres.fiber_basis) == want
+
+
+@pytest.mark.parametrize("dims", BENCHMARK_SPACES, ids=lambda dims: ",".join(map(str, dims)))
+def test_rules_above_the_top_are_monomials(dims):
+    """Above the top degree the quotient vanishes: every monomial there is
+    reducible, and every rule heading in those degrees is ``m -> 0``."""
+    pres = grassmannian_presentation(*dims) if len(dims) == 2 else flag_presentation(dims)
+    ring = pres.ring
+    for lhs, rhs in pres.rules.items():
+        if lhs.degree(ring) > pres.top_degree:
+            assert rhs.is_zero(), lhs.text(ring)
+    for degree in range(pres.top_degree + 2, pres.top_degree + max(ring.degrees) + 1, 2):
+        assert all(pres.is_reducible(m) for m in monomials_of_degree(ring, degree))
+
+
+@pytest.mark.parametrize("dims", [(4, 4), (1, 1, 1, 1, 1)])
+def test_indexed_rule_lookup_matches_linear_scan(dims):
+    pres = flag_presentation(dims)
+    ring = pres.ring
+    rng = random.Random(f"lookup:{dims}")
+    for _ in range(400):
+        m = Monomial.make({i: rng.randint(0, 6) for i in range(ring.ngens)})
+        scan = next((lhs for lhs in pres.rules if lhs.divides(m)), None)
+        assert pres._find_rule(m) == scan
 
 
 @pytest.mark.parametrize("dims, rank", [((4, 4), 647), ((1, 1, 1, 1, 1), 1245)])

@@ -20,6 +20,7 @@ from charcalc.exactring import (
     parse_int,
     parse_poly,
     parse_rational,
+    parse_signed_int,
     tokenize,
 )
 
@@ -58,6 +59,16 @@ def test_parse_int():
     for bad in ("", "-1", "+1", "²", "٣", "1_0", "1.0", "x", LONG):
         with pytest.raises(InvalidInputError):
             parse_int(bad)
+
+
+def test_parse_signed_int():
+    assert parse_signed_int("12") == 12
+    assert parse_signed_int("-3") == -3
+    assert parse_signed_int("+3") == 3
+    assert parse_signed_int("-0") == 0
+    for bad in ("", "-", "+-1", "--1", " 1", "-٣", "²", "1_0", "-" + LONG):
+        with pytest.raises(InvalidInputError):
+            parse_signed_int(bad)
 
 
 @pytest.mark.parametrize("text", ["y^²", "y^", f"y^{LONG}", f"{LONG}*y", f"1/{LONG}", "y^-1", "(y)"])
