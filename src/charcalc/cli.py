@@ -101,9 +101,11 @@ def _int_flag(text: str) -> int:
 
 
 def _parse_int_list(text: str, flag: str, parse: Callable[[str], int] = parse_int) -> list[int]:
-    """Comma-separated integers, each read by ``parse``; errors name ``flag``."""
-    pieces = [piece.strip() for piece in text.split(",")]
-    return [_from_flag(flag, parse, piece) for piece in pieces if piece]
+    """Comma-separated integers, each read by ``parse``; errors name ``flag``.
+    Blank text is the empty list, but an empty entry (``2,,1``) is an error."""
+    if not text.strip():
+        return []
+    return [_from_flag(flag, parse, piece.strip()) for piece in text.split(",")]
 
 
 def _parse_space(text: str) -> RingPresentation:
@@ -115,7 +117,7 @@ def _parse_space(text: str) -> RingPresentation:
         return flagcoh.sphere_product_ring([2, 2], names=("s1", "s2"))
     if spec.startswith("sphere:"):
         dims = _parse_int_list(spec[len("sphere:"):], "--space")
-        return flagcoh.sphere_product_ring(dims)
+        return _from_flag("--space", flagcoh.sphere_product_ring, dims)
     if spec.startswith("cpn:"):
         dims = _parse_int_list(spec[len("cpn:"):], "--space")
         if len(dims) != 1:
@@ -330,25 +332,20 @@ def _cmd_mu(args) -> tuple[dict, int]:
 
 def _cmd_equi(args) -> tuple[dict, int]:
     payload: dict
-    if args.equi_op == "mu":
+    if args.equi_op in ("mu", "nu1", "moment"):
         action = equivariant.WeightedCircleAction(
             args.n, tuple(_parse_int_list(args.weights, "--weights", parse_signed_int))
         )
+    if args.equi_op == "mu":
         payload = _rational_payload(equivariant.mu_of_circle(action, args.k))
     elif args.equi_op == "su-product":
         payload = _rational_payload(equivariant.su_product_integral(args.ell, args.k))
     elif args.equi_op == "nu1":
-        action = equivariant.WeightedCircleAction(
-            args.n, tuple(_parse_int_list(args.weights, "--weights", parse_signed_int))
-        )
         payload = _rational_payload(equivariant.nu1_at_fixed_point(action, args.vertex))
     elif args.equi_op == "simplex":
         alpha = _parse_int_list(args.alpha, "--alpha")
         payload = _rational_payload(equivariant.simplex_integral(alpha, args.n))
     elif args.equi_op == "moment":
-        action = equivariant.WeightedCircleAction(
-            args.n, tuple(_parse_int_list(args.weights, "--weights", parse_signed_int))
-        )
         payload = {"moment": str(equivariant.normalized_moment(action))}
     elif args.equi_op == "integral":
         ring = equivariant.simplex_ring(args.n)
@@ -422,19 +419,11 @@ def _cmd_obstruct(args) -> tuple[dict, int]:
     data = obstruction.ObstructionInput(pres, pairing, c)
     if data.pairing_value(c) == 0:
         raise InvalidInputError("--class: must pair nontrivially against --alpha")
-    if args.obstruct_op == "square":
-        return {
-            "criterion": obstruction.whitehead_square_criterion(data),
-            "degree_checked": 4,
-            "hypothesis_checked": "none",
-        }, 0
-    if args.obstruct_op == "cube":
-        return {
-            "criterion": obstruction.whitehead_cube_criterion(data),
-            "degree_checked": 6,
-            "hypothesis_checked": obstruction.HYPOTHESIS_NOTE,
-        }, 0
-    raise InvalidInputError(f"unknown obstruct operation {args.obstruct_op!r}")
+    criterion, degree = {
+        "square": (obstruction.whitehead_square_criterion, 4),
+        "cube": (obstruction.whitehead_cube_criterion, 6),
+    }[args.obstruct_op]
+    return {"criterion": criterion(data), "degree_checked": degree, "hypothesis_checked": "none"}, 0
 
 
 # -- the reference computation suite --------------------------------------------
@@ -649,9 +638,7 @@ def _anchor_moment_extrema() -> tuple[bool, str]:
 
 
 def _anchor_pointed_class() -> tuple[bool, str]:
-    base = flagcoh.sphere_product_ring([2], names=("b",))
-    chern = [base.ring.gen(0), base.ring.zero()]
-    pres = flagcoh.projective_bundle(base, chern, 1)
+    pres = _sphere_base_bundle(1, 1)
     data = coupling.CouplingInput(
         pres, pres.ring.gen("c"), 1, section_pullback={"c": pres.ring.zero()}
     )

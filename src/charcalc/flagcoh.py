@@ -156,7 +156,7 @@ def sphere_product_ring(
     )
 
 
-def inverse_series(v: int, d: int, ring: GradedRing | None = None) -> list[GradedPoly]:
+def inverse_series(v: int, d: int) -> list[GradedPoly]:
     """Homogeneous pieces f_1, ..., f_d of ``(1 + y_1 + ... + y_v)^(-1)``.
 
     f_i has degree 2i; the defining recurrence is
@@ -164,11 +164,9 @@ def inverse_series(v: int, d: int, ring: GradedRing | None = None) -> list[Grade
     """
     if v < 1 or d < 1:
         raise InvalidInputError("need v >= 1 and d >= 1")
-    ambient = ring if ring is not None else GradedRing(
+    ambient = GradedRing(
         tuple(f"y{i + 1}" for i in range(v)), tuple(2 * (i + 1) for i in range(v))
     )
-    if ambient.ngens < v:
-        raise InvalidInputError("ambient ring has too few generators")
     return _inverse_pieces(ambient, [ambient.gen(j) for j in range(v)], d)[1:]
 
 
@@ -272,13 +270,6 @@ def _rref_rules(
             rules[lhs] = GradedPoly(ring, rhs_terms)
             heads.add(lhs)
     return rules
-
-
-def _row_reduce(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Exact reduced row echelon form on sparse rows; pivot column -> row."""
-    pivots: dict[int, dict[int, int]] = {}
-    _reduce_forward(rows, pivots)
-    return _back_substitute(pivots)
 
 
 def _reduce_forward(rows: list[dict[int, Fraction]], pivots: dict[int, dict[int, int]]) -> None:

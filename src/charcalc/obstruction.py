@@ -3,7 +3,8 @@
 Everything here reduces to exact linear algebra in a single degree: bases of
 quotient components, ideal membership against a list of homogeneous
 generators, the square and cube criteria for detecting evaluation images and
-higher products, and the hard Lefschetz predicate.
+higher products, and the hard Lefschetz predicate.  These are rank questions,
+answered by the completion's forward elimination alone (``_reduce_forward``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .exactring import (
     Monomial,
     RingPresentation,
 )
-from .flagcoh import _row_reduce, basis_monomials
+from .flagcoh import _reduce_forward, basis_monomials
 
 __all__ = [
     "DegreeBasis",
@@ -29,12 +30,7 @@ __all__ = [
     "whitehead_square_criterion",
     "whitehead_cube_criterion",
     "hard_lefschetz_check",
-    "HYPOTHESIS_NOTE",
 ]
-
-# The cube criterion checks vanishing of the degree-3 component, a homological
-# stand-in for the homotopy-theoretic hypothesis it replaces.
-HYPOTHESIS_NOTE = "homological_proxy"
 
 
 @dataclass(frozen=True)
@@ -62,14 +58,27 @@ def _sparse_row(p: GradedPoly, index: Mapping[Monomial, int]) -> dict[int, Fract
         raise InvalidInputError("polynomial leaves the expected degree component") from None
 
 
+def _product_rows(
+    pres: RingPresentation,
+    p: GradedPoly,
+    monomials: Sequence[Monomial],
+    index: Mapping[Monomial, int],
+) -> list[dict[int, Fraction]]:
+    """Sparse rows of ``normal_form(p*m)``, one for each monomial ``m``."""
+    return [
+        _sparse_row(pres.normal_form(p * GradedPoly(pres.ring, {m: Fraction(1)})), index)
+        for m in monomials
+    ]
+
+
 def ideal_membership(
     z: GradedPoly, gens: Sequence[GradedPoly], pres: RingPresentation
 ) -> bool:
     """Decide whether ``z`` lies in the ideal the generators span, degree-wise.
 
-    ``z`` and the generators must be homogeneous; membership is a linear
-    solve against all products of a generator with a monomial of the
-    complementary degree.
+    ``z`` and the generators must be homogeneous.  ``z`` is a member exactly
+    when it adds no pivot to the forward-eliminated products of each
+    generator with the monomials of the complementary degree.
     """
     if z.ring != pres.ring:
         raise InvalidInputError("z does not live in the presented ring")
@@ -81,7 +90,7 @@ def ideal_membership(
     d = reduced.homogeneous_degree()
     index = {m: j for j, m in enumerate(basis_monomials(pres, d))}
     target = _sparse_row(reduced, index)
-    rows: list[dict[int, Fraction]] = []
+    pivots: dict[int, dict[int, int]] = {}
     for g in gens:
         if g.ring != pres.ring:
             raise InvalidInputError("ideal generator in a different ring")
@@ -93,19 +102,11 @@ def ideal_membership(
         e = g_reduced.homogeneous_degree()
         if e > d:
             continue
-        for multiplier in basis_monomials(pres, d - e):
-            product = pres.normal_form(
-                g_reduced * GradedPoly(pres.ring, {multiplier: Fraction(1)})
-            )
-            rows.append(_sparse_row(product, index))
-    # Pivot rows are in reduced echelon form, so target lies in their span
-    # exactly when subtracting target[p] * pivots[p] for each pivot p clears it.
-    pivots = _row_reduce(rows)
-    residual = dict(target)
-    for col in target.keys() & pivots.keys():
-        for j, b in pivots[col].items():
-            residual[j] = residual.get(j, Fraction(0)) - target[col] * b
-    return not any(residual.values())
+        multipliers = basis_monomials(pres, d - e)
+        _reduce_forward(_product_rows(pres, g_reduced, multipliers, index), pivots)
+    rank = len(pivots)
+    _reduce_forward([target], pivots)
+    return len(pivots) == rank
 
 
 @dataclass(frozen=True)
@@ -163,31 +164,29 @@ def pairing_kernel(data: ObstructionInput) -> list[GradedPoly]:
     return kernel
 
 
+def _power_in_kernel_ideal(data: ObstructionInput, e: int) -> bool:
+    """Does ``c**e`` lie in the ideal generated by the kernel of the pairing?"""
+    if data.pairing_value(data.c) == 0:
+        raise InvalidInputError("c must pair nontrivially against alpha")
+    return ideal_membership(data.c ** e, pairing_kernel(data), data.pres)
+
+
 def whitehead_square_criterion(data: ObstructionInput) -> bool:
     """True when the square of the pairing-positive class dies in the kernel ideal.
 
     The answer does not depend on which class with nonzero pairing is chosen:
     rescaling c and shifting it by kernel elements do not change the verdict.
     """
-    if data.pairing_value(data.c) == 0:
-        raise InvalidInputError("c must pair nontrivially against alpha")
-    kernel = pairing_kernel(data)
-    return ideal_membership(data.c ** 2, kernel, data.pres)
+    return _power_in_kernel_ideal(data, 2)
 
 
 def whitehead_cube_criterion(data: ObstructionInput) -> bool:
     """True when the cube of the class lies in the kernel ideal.
 
-    Requires the degree-3 component of the ring to vanish; this homological
-    proxy stands in for the homotopy hypothesis and is what is actually
-    checked (see HYPOTHESIS_NOTE).
+    This membership is all that is checked: every generator has even degree,
+    so the ring has no odd-degree component to test.
     """
-    if data.pairing_value(data.c) == 0:
-        raise InvalidInputError("c must pair nontrivially against alpha")
-    if degree_basis(data.pres, 3).dimension != 0:
-        raise InvalidInputError("degree-3 component is nonzero; cube criterion not applicable")
-    kernel = pairing_kernel(data)
-    return ideal_membership(data.c ** 3, kernel, data.pres)
+    return _power_in_kernel_ideal(data, 3)
 
 
 def hard_lefschetz_check(pres: RingPresentation, a: GradedPoly, n: int) -> bool:
@@ -195,7 +194,8 @@ def hard_lefschetz_check(pres: RingPresentation, a: GradedPoly, n: int) -> bool:
 
     ``n`` is half the top degree of the presentation; all k from 1 to n are
     checked, with odd or empty components passing vacuously only when both
-    sides are zero-dimensional.
+    sides are zero-dimensional.  Degree k holds when the product rows of the
+    source basis reach full rank under forward elimination.
     """
     if a.ring != pres.ring:
         raise InvalidInputError("a does not live in the presented ring")
@@ -207,19 +207,13 @@ def hard_lefschetz_check(pres: RingPresentation, a: GradedPoly, n: int) -> bool:
     for k in range(1, n + 1):
         power = pres.normal_form(power * a)
         source = basis_monomials(pres, n - k)
-        targetb = basis_monomials(pres, n + k)
-        if len(source) != len(targetb):
+        target = basis_monomials(pres, n + k)
+        if len(source) != len(target):
             return False
-        if not source:
-            continue
-        index = {m: j for j, m in enumerate(targetb)}
-        rows = []
-        for monomial in source:
-            image = pres.normal_form(
-                power * GradedPoly(pres.ring, {monomial: Fraction(1)})
-            )
-            rows.append(_sparse_row(image, index))
-        if len(_row_reduce(rows)) != len(rows):
+        index = {m: j for j, m in enumerate(target)}
+        pivots: dict[int, dict[int, int]] = {}
+        _reduce_forward(_product_rows(pres, power, source, index), pivots)
+        if len(pivots) != len(source):
             return False
     return True
 

@@ -114,16 +114,14 @@ def sigma_ring(v: int) -> GradedRing:
     )
 
 
-def monomial_symmetric(I: Partition, v: int, ring: GradedRing | None = None) -> GradedPoly:
+def monomial_symmetric(I: Partition, v: int) -> GradedPoly:
     """The monomial symmetric sum ``s_I``: all distinct monomials of shape ``I``.
 
     Each distinct monomial appears with coefficient one.
     """
     if len(I) > v:
         raise ArityError(f"partition {I} has more parts than variables ({v})")
-    ambient = ring if ring is not None else variable_ring(v)
-    if ambient.ngens != v:
-        raise InvalidInputError("ring does not have the declared number of variables")
+    ambient = variable_ring(v)
     # Each distinct part value goes on a set of still-free positions, so the
     # work is proportional to the orbit, not to v!.
     assignments: list[dict[int, int]] = [{}]

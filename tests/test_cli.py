@@ -187,7 +187,7 @@ def test_obstruct_subcommand(capsys):
     code, out, _ = run_cli(capsys, "obstruct", "cube", "--space", "cp2", "--alpha", "line")
     payload = json.loads(out)
     assert payload["criterion"] is True
-    assert payload["hypothesis_checked"] == "homological_proxy"
+    assert payload["hypothesis_checked"] == "none"
     code, out, _ = run_cli(capsys, "obstruct", "hl", "--space", "gr:2,2", "--class", "y1")
     assert json.loads(out)["criterion"] is True
     code, out, _ = run_cli(capsys, "obstruct", "dims", "--space", "gr:2,2", "--degree", "4")
@@ -271,6 +271,14 @@ def test_validation_exit_codes(capsys):
         (("equi", "simplex", "--alpha", "1,-2,0", "--n", "2"), "--alpha"),
         (("flag", "--inverse-series", "0", "--degree", "1"), "--inverse-series"),
         (("flag", "--inverse-series", "2", "--degree", "0"), "--degree"),
+        # an empty list entry is an error, not skipped
+        (("flag", "--dims", "2,,1", "--emit", "dims"), "--dims"),
+        (("flag", "--dims", "2,1,", "--emit", "dims"), "--dims"),
+        (("bundle", "--space", "gr:2,,2"), "--space"),
+        (("bundle", "--space", "sphere:2,"), "--space"),
+        (("bundle", "--space", "sphere:"), "--space"),
+        (("equi", "simplex", "--alpha", "1,,2", "--n", "3"), "--alpha"),
+        (("equi", "mu", "--n", "1", "--weights=1,,0", "--k", "2"), "--weights"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2

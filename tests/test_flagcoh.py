@@ -16,7 +16,6 @@ from charcalc import flagcoh
 from charcalc.flagcoh import (
     FlagSpec,
     SphereProductSpec,
-    _row_reduce,
     _rref_rules,
     basis_monomials,
     dimension_vector,
@@ -31,7 +30,7 @@ from charcalc.flagcoh import (
 )
 
 from conftest import random_poly
-from test_obstruction import fraction_row_reduce
+from test_obstruction import fraction_row_reduce, row_reduce
 
 
 def quotient_dims_oracle(pres, degree):
@@ -227,7 +226,7 @@ def test_dimension_vectors_match_q_multinomial():
         assert dimension_vector(flag_presentation(dims)) == q_multinomial(dims), dims
 
 
-def all_multiples_rref_rules(ring, relations, top_degree, row_reduce=_row_reduce):
+def all_multiples_rref_rules(ring, relations, top_degree, row_reduce=row_reduce):
     """Oracle: completion from every monomial multiple of every relation.
 
     This is ``_rref_rules`` without its row selection: each degree's matrix

@@ -7,8 +7,10 @@ from charcalc.exactring import (
     InvalidInputError,
     monomials_of_degree,
 )
+from charcalc import flagcoh
 from charcalc.flagcoh import (
-    _row_reduce,
+    _back_substitute,
+    _reduce_forward,
     flag_presentation,
     grassmannian_presentation,
     point_presentation,
@@ -116,6 +118,14 @@ def dense_in_span(rows, target):
         factor = current[col]
         current = [a - factor * b for a, b in zip(current, pivots[col])]
     return not any(current)
+
+
+def row_reduce(rows):
+    """The completion's reduced row echelon form: forward elimination into
+    integer pivot rows, then back-substitution; pivot column -> row."""
+    pivots = {}
+    _reduce_forward(rows, pivots)
+    return _back_substitute(pivots)
 
 
 def fraction_row_reduce(rows):
@@ -229,7 +239,7 @@ def test_row_reduce_agrees_with_dense_oracle(rng):
         height, width = rng.randint(0, 12), rng.randint(1, 12)
         rows = random_dense_matrix(rng, height, width)
         sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
-        pivots = _row_reduce(sparse)
+        pivots = row_reduce(sparse)
         assert_same_pivots(pivots, fraction_row_reduce(sparse))
         assert len(pivots) == len(dense_pivots(rows, width))
         for col, row in pivots.items():
@@ -278,7 +288,7 @@ def test_row_reduce_matches_fraction_kernel_on_large_entries(rng):
                     if p:
                         row[j] = Fraction(p, rng.randint(1, 2 ** bits))
             rows.append(row)
-        assert_same_pivots(_row_reduce(rows), fraction_row_reduce(rows))
+        assert_same_pivots(row_reduce(rows), fraction_row_reduce(rows))
 
 
 def test_row_reduce_matches_fraction_kernel_on_edge_cases():
@@ -294,11 +304,11 @@ def test_row_reduce_matches_fraction_kernel_on_edge_cases():
         [{0: 6, 1: 4}, {0: 9, 1: 6}],
     ]
     for rows in cases:
-        assert_same_pivots(_row_reduce(rows), fraction_row_reduce(rows))
-    assert _row_reduce([]) == {}
-    assert _row_reduce([{}, {}]) == {}
+        assert_same_pivots(row_reduce(rows), fraction_row_reduce(rows))
+    assert row_reduce([]) == {}
+    assert row_reduce([{}, {}]) == {}
     # by hand: the row space is the orthogonal complement of (1/5, 8/5, -8/15, 1)
-    assert _row_reduce([{0: 2, 1: -4, 3: 6}, {1: 3, 2: 9}, {0: -5, 3: 1}]) == {
+    assert row_reduce([{0: 2, 1: -4, 3: 6}, {1: 3, 2: 9}, {0: -5, 3: 1}]) == {
         0: {0: 1, 3: Fraction(-1, 5)},
         1: {1: 1, 3: Fraction(-8, 5)},
         2: {2: 1, 3: Fraction(8, 15)},
@@ -449,3 +459,26 @@ def test_hard_lefschetz_validation():
     pres = projective_space(2)
     with pytest.raises(InvalidInputError):
         hard_lefschetz_check(pres, pres.ring.gen("c") ** 2, 2)
+
+
+def test_rank_questions_never_back_substitute(monkeypatch):
+    """Membership, the criteria and hard Lefschetz only ask for a rank, so
+    forward elimination answers them without a reduced echelon form."""
+    gr = grassmannian_presentation(2, 2)
+    cp2 = projective_space(2)
+    cp3 = projective_space(3)
+    spheres = product_of_spheres()
+
+    def refuse(pivots):
+        raise AssertionError("back-substitution is not needed for a rank")
+
+    monkeypatch.setattr(flagcoh, "_back_substitute", refuse)
+    y1, y2 = gr.ring.gens()
+    assert ideal_membership(y1 * y2, [y2], gr)
+    assert not ideal_membership(y1 ** 2, [y2], gr)
+    assert hard_lefschetz_check(gr, y1, 4)
+    assert not hard_lefschetz_check(spheres, spheres.ring.gen("s1"), 2)
+    c2, c3 = cp2.ring.gen("c"), cp3.ring.gen("c")
+    assert not whitehead_square_criterion(ObstructionInput(cp2, {"c": 1}, c2))
+    assert whitehead_cube_criterion(ObstructionInput(cp2, {"c": 1}, c2))
+    assert not whitehead_cube_criterion(ObstructionInput(cp3, {"c": 1}, c3))
