@@ -55,7 +55,7 @@ class BundleExpr:
 
     @property
     def rank(self) -> int:
-        raise NotImplementedError
+        return _fold(self, _rank)
 
 
 @dataclass(eq=False)
@@ -63,15 +63,10 @@ class Universal(BundleExpr):
     """Universal rank-m bundle; identity of the node identifies the root block."""
 
     m: int
-    name: str | None = None
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise InvalidInputError("universal bundle rank must be positive")
-
-    @property
-    def rank(self) -> int:
-        return self.m
 
 
 @dataclass(frozen=True)
@@ -82,18 +77,10 @@ class Trivial(BundleExpr):
         if self.r < 0:
             raise InvalidInputError("trivial bundle rank must be nonnegative")
 
-    @property
-    def rank(self) -> int:
-        return self.r
-
 
 @dataclass(frozen=True)
 class Dual(BundleExpr):
     inner: BundleExpr
-
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
 
 
 @dataclass(frozen=True)
@@ -101,29 +88,16 @@ class Sum(BundleExpr):
     left: BundleExpr
     right: BundleExpr
 
-    @property
-    def rank(self) -> int:
-        return self.left.rank + self.right.rank
-
 
 @dataclass(frozen=True)
 class Tensor(BundleExpr):
     left: BundleExpr
     right: BundleExpr
 
-    @property
-    def rank(self) -> int:
-        return self.left.rank * self.right.rank
-
 
 @dataclass(frozen=True)
 class Lambda2(BundleExpr):
     inner: BundleExpr
-
-    @property
-    def rank(self) -> int:
-        r = self.inner.rank
-        return r * (r - 1) // 2
 
 
 def _children(node: BundleExpr) -> tuple[BundleExpr, ...]:
@@ -151,6 +125,21 @@ def _fold(expr: BundleExpr, visit: Callable[[BundleExpr, list[_T]], _T]) -> _T:
             stack.append((node, True))
             stack.extend((child, False) for child in reversed(children))
     return values[0]
+
+
+def _rank(node: BundleExpr, inner: list[int]) -> int:
+    """The rank of ``node`` from the ranks of its children; a ``_fold`` visit."""
+    if isinstance(node, Universal):
+        return node.m
+    if isinstance(node, Trivial):
+        return node.r
+    if isinstance(node, Dual):
+        return inner[0]
+    if isinstance(node, Lambda2):
+        return inner[0] * (inner[0] - 1) // 2
+    if isinstance(node, Sum):
+        return inner[0] + inner[1]
+    return inner[0] * inner[1]
 
 
 def universal_leaves(expr: BundleExpr) -> list[Universal]:
@@ -224,9 +213,6 @@ def chern_class(expr: BundleExpr, k: int) -> GradedPoly:
     """k-th Chern class: the degree-2k part of the total class; zero past the rank."""
     if k < 0:
         raise InvalidInputError("k must be nonnegative")
-    if k == 0:
-        ring, _ = root_ring(expr)
-        return ring.one()
     return total_chern_class(expr, 2 * k).graded_component(2 * k)
 
 
@@ -256,20 +242,20 @@ def _rank_and_power_sum(expr: BundleExpr, k: int) -> tuple[int, int]:
     ``a_k`` is then the sigma_k-coefficient of ``c_k``."""
 
     def visit(node: BundleExpr, inner: list[tuple[int, int]]) -> tuple[int, int]:
+        ranks = [rank for rank, _ in inner]
+        rank = _rank(node, ranks)
         if isinstance(node, Universal):
-            return node.m, 1
+            return rank, 1
         if isinstance(node, Trivial):
-            return node.r, 0
+            return rank, 0
         if isinstance(node, Dual):
-            rank, a = inner[0]
-            return rank, (-1) ** k * a
+            return rank, (-1) ** k * inner[0][1]
         if isinstance(node, Lambda2):
-            rank, a = inner[0]
-            return rank * (rank - 1) // 2, (rank - 2 ** (k - 1)) * a
+            return rank, (ranks[0] - 2 ** (k - 1)) * inner[0][1]
         (left_rank, left), (right_rank, right) = inner
         if isinstance(node, Sum):
-            return left_rank + right_rank, left + right
-        return left_rank * right_rank, left_rank * right + right_rank * left
+            return rank, left + right
+        return rank, left_rank * right + right_rank * left
 
     return _fold(expr, visit)
 
@@ -309,7 +295,7 @@ def parse_bundle_expr(text: str) -> BundleExpr:
         word = take()
         if word.startswith("E"):
             if word not in leaves:
-                leaves[word] = Universal(parse_int(word[1:]), name=word)
+                leaves[word] = Universal(parse_int(word[1:]))
             return leaves[word]
         if word == "triv":
             expect("(")

@@ -83,11 +83,11 @@ OP_REGISTRY = {
 _T = TypeVar("_T")
 
 
-def _from_flag(flag: str, parse: Callable[..., _T], *args) -> _T:
-    """Run ``parse(*args)`` on a flag's text; an input error names the flag."""
+def _from_flag(flag: str, call: Callable[..., _T], *args) -> _T:
+    """``call(*args)`` on a flag's value; a charcalc error it raises names the flag."""
     try:
-        return parse(*args)
-    except InvalidInputError as exc:
+        return call(*args)
+    except CharcalcError as exc:
         raise InvalidInputError(f"{flag}: {exc}") from exc
 
 
@@ -98,6 +98,14 @@ def _int_flag(text: str) -> int:
         return parse_int(text)
     except InvalidInputError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int_flag(text: str) -> int:
+    """The argparse type of an integer flag that must be at least 1."""
+    value = _int_flag(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
 
 
 def _parse_int_list(text: str, flag: str, parse: Callable[[str], int] = parse_int) -> list[int]:
@@ -137,7 +145,7 @@ def _parse_space(text: str) -> RingPresentation:
         dims = _parse_int_list(spec[len("pe:"):], "--space")
         if len(dims) != 2:
             raise InvalidInputError("--space: pe takes fiber dimension and base half-dimension")
-        return _sphere_base_bundle(dims[0], dims[1])
+        return _from_flag("--space", _sphere_base_bundle, dims[0], dims[1])
     raise InvalidInputError(f"--space: unknown space {text!r}")
 
 
@@ -152,7 +160,7 @@ def _projective_space(n: int) -> RingPresentation:
 def _sphere_base_bundle(n: int, k: int) -> RingPresentation:
     """P(E) over the 2k-sphere with c_k(E) the sphere class and others zero."""
     if not 1 <= k <= n + 1:
-        raise InvalidInputError("--space: need 1 <= k <= n + 1")
+        raise InvalidInputError("need 1 <= k <= n + 1")
     base = flagcoh.sphere_product_ring([2 * k], names=("b",))
     chern = [base.ring.zero()] * (n + 1)
     chern[k - 1] = base.ring.gen(0)
@@ -201,31 +209,30 @@ def _cmd_poly(args) -> tuple[dict, int]:
 
 
 def _cmd_sym(args) -> tuple[dict, int]:
-    if args.op in ("monomial", "to-elementary", "sigma-top"):
-        if args.partition is None:
-            raise InvalidInputError("--partition: required for this operation")
-        I = _from_flag("--partition", symfun.Partition.parse, args.partition)
-    if args.op == "monomial":
-        return {"poly": str(symfun.monomial_symmetric(I, args.vars))}, 0
     if args.op == "elementary":
         if args.k is None:
             raise InvalidInputError("--k: required for elementary")
         return {"poly": str(symfun.elementary(args.k, args.vars))}, 0
+    if args.partition is None:
+        raise InvalidInputError("--partition: required for this operation")
+    I = _from_flag("--partition", symfun.Partition.parse, args.partition)
+    if args.op == "sigma-top" and args.k is None:
+        raise InvalidInputError("--k: required for sigma-top")
+    s_I = _from_flag("--partition", symfun.monomial_symmetric, I, args.vars)
+    if args.op == "monomial":
+        return {"poly": str(s_I)}, 0
+    elem = symfun.to_elementary(s_I, args.vars)
     if args.op == "to-elementary":
-        elem = symfun.to_elementary(symfun.monomial_symmetric(I, args.vars), args.vars)
         return {"elementary": str(elem)}, 0
-    if args.op == "sigma-top":
-        if args.k is None:
-            raise InvalidInputError("--k: required for sigma-top")
-        elem = symfun.to_elementary(symfun.monomial_symmetric(I, args.vars), args.vars)
-        return _rational_payload(symfun.sigma_top_coefficient(elem, args.k)), 0
-    raise InvalidInputError(f"--op: unknown operation {args.op!r}")
+    return _rational_payload(symfun.sigma_top_coefficient(elem, args.k)), 0
 
 
 def _cmd_chern(args) -> tuple[dict, int]:
     expr = _from_flag("--expr", bundlecalc.parse_bundle_expr, args.expr)
     if args.eval == "sphere":
-        return _rational_payload(bundlecalc.sphere_eval(expr, args.k)), 0
+        if args.k < 1:
+            raise InvalidInputError("--k: must be at least 1 with --eval sphere")
+        return _rational_payload(_from_flag("--expr", bundlecalc.sphere_eval, expr, args.k)), 0
     if args.emit == "roots":
         roots = bundlecalc.chern_roots(expr)
         return {"rank": len(roots), "roots": [str(r) for r in roots]}, 0
@@ -245,11 +252,7 @@ def _presentation_payload(pres: RingPresentation, emit: str) -> dict:
             "relations": [str(r) for r in pres.relations],
             "dim_by_degree": flagcoh.dimension_vector(pres),
         }
-    if emit == "basis":
-        if pres.fiber_basis is None:
-            raise InvalidInputError("--emit: presentation has no recorded basis")
-        return {"basis": [m.text(pres.ring) for m in pres.fiber_basis]}
-    raise InvalidInputError(f"--emit: unknown mode {emit!r}")
+    return {"basis": [m.text(pres.ring) for m in pres.fiber_basis]}
 
 
 def _cmd_flag(args) -> tuple[dict, int]:
@@ -287,7 +290,7 @@ def _cmd_bundle(args) -> tuple[dict, int]:
         if len(b_poly.terms) != 1 or set(b_poly.terms.values()) != {Fraction(1)}:
             raise InvalidInputError("--basis-element: expected a single monic monomial")
         b = next(iter(b_poly.terms))
-        return {"class": str(pres.fiber_coefficient(p, b))}, 0
+        return {"class": str(_from_flag("--basis-element", pres.fiber_coefficient, p, b))}, 0
     return _presentation_payload(pres, args.emit), 0
 
 
@@ -298,12 +301,8 @@ def _coupling_input(args) -> coupling.CouplingInput:
     base_dim = _from_flag("--base", parse_int, base_text[1:])
     if base_dim % 2:
         raise InvalidInputError("--base: sphere dimension must be even")
-    if args.space == "pcn-bundle":
-        pres = _sphere_base_bundle(args.n, base_dim // 2)
-    elif args.space == "trivial":
-        pres = _trivial_bundle(args.n, base_dim // 2)
-    else:
-        raise InvalidInputError(f"--space: unknown coupling space {args.space!r}")
+    build = _sphere_base_bundle if args.space == "pcn-bundle" else _trivial_bundle
+    pres = _from_flag("--base", build, args.n, base_dim // 2)
     section = {"c": pres.ring.zero()} if args.nu else None
     return coupling.CouplingInput(pres, pres.ring.gen("c"), args.n, section)
 
@@ -323,38 +322,31 @@ def _cmd_mu(args) -> tuple[dict, int]:
         return {"class": str(result), "degree": result.degree()}, 0
     if args.k is None:
         raise InvalidInputError("--k: required")
-    if args.nu:
-        result = coupling.nu_class(data, args.k)
-    else:
-        result = coupling.mu_class(data, args.k)
+    result = _from_flag("--k", coupling.nu_class if args.nu else coupling.mu_class, data, args.k)
     return {"class": str(result), "degree": 2 * args.k}, 0
 
 
 def _cmd_equi(args) -> tuple[dict, int]:
-    payload: dict
     if args.equi_op in ("mu", "nu1", "moment"):
-        action = equivariant.WeightedCircleAction(
-            args.n, tuple(_parse_int_list(args.weights, "--weights", parse_signed_int))
-        )
+        weights = tuple(_parse_int_list(args.weights, "--weights", parse_signed_int))
+        action = _from_flag("--weights", equivariant.WeightedCircleAction, args.n, weights)
     if args.equi_op == "mu":
-        payload = _rational_payload(equivariant.mu_of_circle(action, args.k))
+        value = equivariant.mu_of_circle(action, args.k)
     elif args.equi_op == "su-product":
-        payload = _rational_payload(equivariant.su_product_integral(args.ell, args.k))
+        value = _from_flag("--k", equivariant.su_product_integral, args.ell, args.k)
     elif args.equi_op == "nu1":
-        payload = _rational_payload(equivariant.nu1_at_fixed_point(action, args.vertex))
+        value = _from_flag("--vertex", equivariant.nu1_at_fixed_point, action, args.vertex)
     elif args.equi_op == "simplex":
         alpha = _parse_int_list(args.alpha, "--alpha")
-        payload = _rational_payload(equivariant.simplex_integral(alpha, args.n))
-    elif args.equi_op == "moment":
-        payload = {"moment": str(equivariant.normalized_moment(action))}
+        value = _from_flag("--alpha", equivariant.simplex_integral, alpha, args.n)
     elif args.equi_op == "integral":
         ring = equivariant.simplex_ring(args.n)
         p = _from_flag("--poly", parse_poly, ring, args.poly)
-        payload = _rational_payload(equivariant.moment_integral(p, args.n))
+        value = equivariant.moment_integral(p, args.n)
     else:
-        raise InvalidInputError(f"unknown equi operation {args.equi_op!r}")
-    payload["normalization"] = "unit-volume"
-    return payload, 0
+        moment = equivariant.normalized_moment(action)
+        return {"moment": str(moment), "normalization": "unit-volume"}, 0
+    return {**_rational_payload(value), "normalization": "unit-volume"}, 0
 
 
 def _alpha_pairing(pres: RingPresentation, text: str) -> dict[str, Fraction]:
@@ -398,14 +390,14 @@ def _cmd_obstruct(args) -> tuple[dict, int]:
         }, 0
     if args.obstruct_op == "member":
         z = _from_flag("--z", parse_poly, pres.ring, args.z)
+        if not z.is_homogeneous():
+            raise InvalidInputError("--z: must be homogeneous")
         gens = [
             _from_flag("--gens", parse_poly, pres.ring, piece)
             for piece in args.gens.split(";") if piece.strip()
         ]
-        return {"member": obstruction.ideal_membership(z, gens, pres)}, 0
+        return {"member": _from_flag("--gens", obstruction.ideal_membership, z, gens, pres)}, 0
     if args.obstruct_op == "hl":
-        if pres.top_degree is None:
-            raise InvalidInputError("--space: presentation has no recorded top degree")
         a = _degree_two_class(pres, args.cls)
         holds = obstruction.hard_lefschetz_check(pres, a, pres.top_degree // 2)
         return {"criterion": holds, "half_top_degree": pres.top_degree // 2}, 0
@@ -740,14 +732,22 @@ def _cmd_paper(args) -> tuple[dict, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every parser takes --output, before or after a subcommand; SUPPRESS keeps a
+    # parser that did not see it from overwriting the value another one parsed
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", choices=("json", "text"), default=argparse.SUPPRESS)
+
+    def add(subparsers, name: str, **kwargs) -> argparse.ArgumentParser:
+        return subparsers.add_parser(name, parents=[output], **kwargs)
+
     parser = argparse.ArgumentParser(
         prog="charcalc",
         description="exact characteristic-class calculator",
+        parents=[output],
     )
-    parser.add_argument("--output", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_poly = sub.add_parser("poly", help="polynomial arithmetic in a declared ring")
+    p_poly = add(sub, "poly", help="polynomial arithmetic in a declared ring")
     p_poly.add_argument("--gens", required=True, help="name:degree pairs, comma separated")
     p_poly.add_argument("--a", required=True)
     p_poly.add_argument("--b")
@@ -756,18 +756,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--component", type=_int_flag)
     p_poly.set_defaults(handler=_cmd_poly)
 
-    p_sym = sub.add_parser("sym", help="symmetric function calculus")
+    p_sym = add(sub, "sym", help="symmetric function calculus")
     p_sym.add_argument(
         "--op",
         choices=("monomial", "elementary", "to-elementary", "sigma-top"),
         required=True,
     )
     p_sym.add_argument("--partition")
-    p_sym.add_argument("--vars", type=_int_flag, required=True)
+    p_sym.add_argument("--vars", type=_positive_int_flag, required=True)
     p_sym.add_argument("--k", type=_int_flag)
     p_sym.set_defaults(handler=_cmd_sym)
 
-    p_chern = sub.add_parser("chern", help="Chern classes of bundle expressions")
+    p_chern = add(sub, "chern", help="Chern classes of bundle expressions")
     p_chern.add_argument("--expr", required=True)
     p_chern.add_argument("--k", type=_int_flag, required=True)
     p_chern.add_argument("--eval", choices=("sphere", "none"), default="none")
@@ -776,24 +776,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chern.set_defaults(handler=_cmd_chern)
 
-    p_flag = sub.add_parser("flag", help="flag manifold presentations")
+    p_flag = add(sub, "flag", help="flag manifold presentations")
     p_flag.add_argument("--dims")
     p_flag.add_argument("--emit", choices=("relations", "basis", "dims"), default="dims")
     p_flag.add_argument("--inverse-series", type=_int_flag, dest="inverse_series")
     p_flag.add_argument("--degree", type=_int_flag)
     p_flag.set_defaults(handler=_cmd_flag)
 
-    p_bundle = sub.add_parser("bundle", help="presented total spaces and fiber integration")
+    p_bundle = add(sub, "bundle", help="presented total spaces and fiber integration")
     p_bundle.add_argument("--space", default="point")
     p_bundle.add_argument("--emit", choices=("relations", "basis", "dims"), default="dims")
     p_bundle.add_argument("--integrate")
     p_bundle.add_argument("--normal")
     p_bundle.add_argument("--coefficient")
     p_bundle.add_argument("--basis-element", dest="basis_element")
-    p_bundle.add_argument("--phi", type=_int_flag)
+    p_bundle.add_argument("--phi", type=_positive_int_flag)
     p_bundle.set_defaults(handler=_cmd_bundle)
 
-    p_mu = sub.add_parser("mu", help="coupling classes and their fiber integrals")
+    p_mu = add(sub, "mu", help="coupling classes and their fiber integrals")
     p_mu.add_argument("--space", choices=("pcn-bundle", "trivial"), required=True)
     p_mu.add_argument("--base", required=True, help="even sphere base, e.g. s4")
     p_mu.add_argument("--n", type=_int_flag, required=True)
@@ -803,72 +803,56 @@ def build_parser() -> argparse.ArgumentParser:
     p_mu.add_argument("--kappa", type=_int_flag, help="exponent for the vertical-class shape")
     p_mu.set_defaults(handler=_cmd_mu)
 
-    p_equi = sub.add_parser("equi", help="exact circle-action integrals")
+    p_equi = add(sub, "equi", help="exact circle-action integrals")
     equi_sub = p_equi.add_subparsers(dest="equi_op", required=True)
-    eq_mu = equi_sub.add_parser("mu")
-    eq_mu.add_argument("--n", type=_int_flag, required=True)
+    eq_mu = add(equi_sub, "mu")
+    eq_mu.add_argument("--n", type=_positive_int_flag, required=True)
     eq_mu.add_argument("--weights", required=True)
-    eq_mu.add_argument("--k", type=_int_flag, required=True)
-    eq_su = equi_sub.add_parser("su-product")
+    eq_mu.add_argument("--k", type=_positive_int_flag, required=True)
+    eq_su = add(equi_sub, "su-product")
     eq_su.add_argument("--ell", type=_int_flag, required=True)
     eq_su.add_argument("--k", type=_int_flag, required=True)
-    eq_nu = equi_sub.add_parser("nu1")
-    eq_nu.add_argument("--n", type=_int_flag, required=True)
+    eq_nu = add(equi_sub, "nu1")
+    eq_nu.add_argument("--n", type=_positive_int_flag, required=True)
     eq_nu.add_argument("--weights", required=True)
     eq_nu.add_argument("--vertex", type=_int_flag, required=True)
-    eq_simplex = equi_sub.add_parser("simplex")
+    eq_simplex = add(equi_sub, "simplex")
     eq_simplex.add_argument("--alpha", required=True)
-    eq_simplex.add_argument("--n", type=_int_flag, required=True)
-    eq_moment = equi_sub.add_parser("moment")
-    eq_moment.add_argument("--n", type=_int_flag, required=True)
+    eq_simplex.add_argument("--n", type=_positive_int_flag, required=True)
+    eq_moment = add(equi_sub, "moment")
+    eq_moment.add_argument("--n", type=_positive_int_flag, required=True)
     eq_moment.add_argument("--weights", required=True)
-    eq_integral = equi_sub.add_parser("integral")
+    eq_integral = add(equi_sub, "integral")
     eq_integral.add_argument("--poly", required=True)
-    eq_integral.add_argument("--n", type=_int_flag, required=True)
+    eq_integral.add_argument("--n", type=_positive_int_flag, required=True)
     for sub_parser in (eq_mu, eq_su, eq_nu, eq_simplex, eq_moment, eq_integral):
         sub_parser.set_defaults(handler=_cmd_equi)
 
-    p_ob = sub.add_parser("obstruct", help="cohomological product criteria")
+    p_ob = add(sub, "obstruct", help="cohomological product criteria")
     ob_sub = p_ob.add_subparsers(dest="obstruct_op", required=True)
-    ob_square = ob_sub.add_parser("square")
-    ob_cube = ob_sub.add_parser("cube")
+    ob_square = add(ob_sub, "square")
+    ob_cube = add(ob_sub, "cube")
     for sub_parser in (ob_square, ob_cube):
         sub_parser.add_argument("--space", required=True)
         sub_parser.add_argument("--alpha", default="line")
         sub_parser.add_argument("--class", dest="cls")
-    ob_hl = ob_sub.add_parser("hl")
+    ob_hl = add(ob_sub, "hl")
     ob_hl.add_argument("--space", required=True)
     ob_hl.add_argument("--class", dest="cls", required=True)
-    ob_dims = ob_sub.add_parser("dims")
+    ob_dims = add(ob_sub, "dims")
     ob_dims.add_argument("--space", required=True)
     ob_dims.add_argument("--degree", type=_int_flag, required=True)
-    ob_member = ob_sub.add_parser("member")
+    ob_member = add(ob_sub, "member")
     ob_member.add_argument("--space", required=True)
     ob_member.add_argument("--z", required=True)
     ob_member.add_argument("--gens", default="", help="semicolon-separated generators")
     for sub_parser in (ob_square, ob_cube, ob_hl, ob_dims, ob_member):
         sub_parser.set_defaults(handler=_cmd_obstruct)
 
-    p_paper = sub.add_parser("paper", help="re-run the reference computation suite")
+    p_paper = add(sub, "paper", help="re-run the reference computation suite")
     p_paper.set_defaults(handler=_cmd_paper)
 
-    _allow_global_flags_anywhere(parser)
     return parser
-
-
-def _allow_global_flags_anywhere(parser: argparse.ArgumentParser) -> None:
-    """Let --output appear after the subcommand as well.
-
-    SUPPRESS keeps an unused subparser occurrence from clobbering a value
-    parsed at the top level.
-    """
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for child in action.choices.values():
-                child.add_argument(
-                    "--output", choices=("json", "text"), default=argparse.SUPPRESS
-                )
-                _allow_global_flags_anywhere(child)
 
 
 def _emit(payload: dict, mode: str) -> str:
@@ -888,7 +872,7 @@ def _emit(payload: dict, mode: str) -> str:
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(output="json"))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -97,11 +97,11 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-def variable_ring(v: int, prefix: str = "t") -> GradedRing:
+def variable_ring(v: int) -> GradedRing:
     """Ring of ``v`` degree-2 variables, the ambient for symmetric polynomials."""
     if v < 1:
         raise InvalidInputError("need at least one variable")
-    return GradedRing(tuple(f"{prefix}{i + 1}" for i in range(v)), (2,) * v)
+    return GradedRing(tuple(f"t{i + 1}" for i in range(v)), (2,) * v)
 
 
 def sigma_ring(v: int) -> GradedRing:

@@ -277,6 +277,14 @@ def test_deep_nesting_walks_without_recursion():
     assert sphere_eval(Dual(expr), 1) == -sphere_eval(E, 1)
 
 
+def test_rank_walks_without_recursion():
+    expr = Universal(2)
+    for _ in range(10000):
+        expr = Dual(expr)
+    assert expr.rank == 2
+    assert Lambda2(Tensor(expr, Trivial(3))).rank == 15
+
+
 def test_tensor_with_line_shifts_roots():
     # tensoring with a line bundle adds its root to each root
     E, L = Universal(2), Universal(1)

@@ -7,6 +7,8 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
+import pytest
+
 import charcalc
 from charcalc import bundlecalc, cli
 
@@ -279,6 +281,30 @@ def test_validation_exit_codes(capsys):
         (("bundle", "--space", "sphere:"), "--space"),
         (("equi", "simplex", "--alpha", "1,,2", "--n", "3"), "--alpha"),
         (("equi", "mu", "--n", "1", "--weights=1,,0", "--k", "2"), "--weights"),
+        # errors raised below the CLI name the flag whose value caused them
+        (("equi", "mu", "--n", "1", "--weights", "1,1", "--k", "2"), "--weights"),
+        (("equi", "mu", "--n", "1", "--weights=", "--k", "2"), "--weights"),
+        (("equi", "nu1", "--n", "2", "--weights", "1,2", "--vertex", "0"), "--weights"),
+        (("equi", "moment", "--n", "1", "--weights", "2,2"), "--weights"),
+        (("equi", "mu", "--n", "0", "--weights", "1", "--k", "2"), "--n"),
+        (("equi", "simplex", "--alpha", "1", "--n", "0"), "--n"),
+        (("equi", "integral", "--poly", "x1", "--n", "0"), "--n"),
+        (("equi", "nu1", "--n", "2", "--weights", "1,2,3", "--vertex", "5"), "--vertex"),
+        (("equi", "su-product", "--ell", "3", "--k", "5"), "--k"),
+        (("equi", "simplex", "--alpha", "1,2,3", "--n", "2"), "--alpha"),
+        (("equi", "mu", "--n", "2", "--weights", "1,2,3", "--k", "0"), "--k"),
+        (("sym", "--op", "elementary", "--k", "3", "--vars", "0"), "--vars"),
+        (("sym", "--op", "monomial", "--partition", "3,2,1", "--vars", "2"), "--partition"),
+        (("chern", "--expr", "sum(E2,E3)", "--k", "2", "--eval", "sphere"), "--expr"),
+        (("chern", "--expr", "E2", "--k", "0", "--eval", "sphere"), "--k"),
+        (("mu", "--space", "pcn-bundle", "--base", "s4", "--n", "0", "--k", "1"), "--base"),
+        (("mu", "--space", "trivial", "--base", "s0", "--n", "1", "--k", "1"), "--base"),
+        (("mu", "--space", "trivial", "--base", "s2", "--n", "1", "--k", "0"), "--k"),
+        (("bundle", "--phi", "0"), "--phi"),
+        (("bundle", "--space", "cp2", "--coefficient", "c", "--basis-element", "c^3"),
+         "--basis-element"),
+        (("obstruct", "member", "--space", "gr:2,2", "--z", "y1+y2", "--gens", "y1"), "--z"),
+        (("obstruct", "member", "--space", "gr:2,2", "--z", "y1", "--gens", "y1+y2"), "--gens"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
@@ -307,6 +333,64 @@ def test_unknown_flags_rejected(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "--seed", "1", "paper")
     assert code == 2
+
+
+# one quick, valid command per leaf subcommand
+LEAF_COMMANDS = [
+    ("poly", "--gens", "y:2", "--a", "y"),
+    ("sym", "--op", "elementary", "--k", "1", "--vars", "2"),
+    ("chern", "--expr", "E2", "--k", "1"),
+    ("flag", "--dims", "1,1"),
+    ("bundle", "--space", "cp1"),
+    ("mu", "--space", "trivial", "--base", "s2", "--n", "1", "--k", "1"),
+    ("paper",),
+    ("equi", "mu", "--n", "1", "--weights", "1,0", "--k", "2"),
+    ("equi", "su-product", "--ell", "2", "--k", "2"),
+    ("equi", "nu1", "--n", "1", "--weights", "1,0", "--vertex", "0"),
+    ("equi", "simplex", "--alpha", "1", "--n", "1"),
+    ("equi", "moment", "--n", "1", "--weights", "1,0"),
+    ("equi", "integral", "--poly", "x1", "--n", "1"),
+    ("obstruct", "square", "--space", "cp1"),
+    ("obstruct", "cube", "--space", "cp2"),
+    ("obstruct", "hl", "--space", "cp1", "--class", "c"),
+    ("obstruct", "dims", "--space", "cp1", "--degree", "2"),
+    ("obstruct", "member", "--space", "cp1", "--z", "c"),
+]
+
+
+def _subcommand_path(argv):
+    return argv[:2] if argv[0] in ("equi", "obstruct") else argv[:1]
+
+
+@pytest.mark.parametrize("argv", LEAF_COMMANDS, ids=" ".join)
+def test_output_flag_before_and_after_the_subcommand(capsys, argv):
+    path = _subcommand_path(argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith("{"), err
+    placements = [("--output", "text") + argv, argv + ("--output", "text")]
+    if len(path) == 2:
+        placements.append(path[:1] + ("--output", "text") + argv[1:])
+    outputs = []
+    for placed in placements:
+        code, out, err = run_cli(capsys, *placed)
+        assert code == 0, (placed, err)
+        outputs.append(out)
+    assert outputs == [outputs[0]] * len(outputs)
+    assert not outputs[0].startswith("{")
+
+
+@pytest.mark.parametrize("argv", LEAF_COMMANDS, ids=" ".join)
+def test_leaf_help_exits_0(capsys, argv):
+    code, out, _ = run_cli(capsys, *_subcommand_path(argv), "--help")
+    assert code == 0
+    assert "--output" in out
+
+
+@pytest.mark.parametrize("argv, golden", [((), "paper.json"), (("--output", "text"), "paper.txt")])
+def test_paper_output_matches_golden(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, *argv, "paper")
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "golden" / golden).read_bytes()
 
 
 def test_text_output_mode(capsys):
