@@ -78,6 +78,10 @@ OP_REGISTRY = {
 }
 
 
+# Largest n accepted for --space cpN / cpn:N, checked before any list is built.
+MAX_PROJECTIVE_DIM = 10_000
+
+
 # -- small input parsers -------------------------------------------------------
 
 _T = TypeVar("_T")
@@ -150,8 +154,8 @@ def _parse_space(text: str) -> RingPresentation:
 
 
 def _projective_space(n: int) -> RingPresentation:
-    if n < 1:
-        raise InvalidInputError("--space: projective space needs n >= 1")
+    if not 1 <= n <= MAX_PROJECTIVE_DIM:
+        raise InvalidInputError(f"--space: projective space needs 1 <= n <= {MAX_PROJECTIVE_DIM}")
     point = flagcoh.point_presentation()
     zeros = [point.ring.zero()] * (n + 1)
     return flagcoh.projective_bundle(point, zeros, n)

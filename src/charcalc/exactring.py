@@ -147,11 +147,26 @@ class GradedRing:
         return [self.gen(i) for i in range(self.ngens)]
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """Sparse monomial: index-sorted ``(generator, exponent)`` pairs, exponents > 0."""
+    """Sparse monomial: index-sorted ``(generator, exponent)`` pairs, exponents > 0.
+    Never mutated; the hash is computed once, at construction."""
 
-    exps: tuple[tuple[int, int], ...]
+    __slots__ = ("exps", "_hash")
+
+    def __init__(self, exps: tuple[tuple[int, int], ...]):
+        self.exps = exps
+        self._hash = hash((exps,))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return self.exps == other.exps
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Monomial(exps={self.exps!r})"
 
     @staticmethod
     def one() -> "Monomial":
@@ -195,10 +210,26 @@ class Monomial:
         return sum(e for _, e in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exps)
-        for i, e in other.exps:
-            merged[i] = merged.get(i, 0) + e
-        return Monomial.make(merged)
+        a, b = self.exps, other.exps
+        if not b:
+            return self
+        if not a:
+            return other
+        merged = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (ia, ea), (ib, eb) = a[i], b[j]
+            if ia < ib:
+                merged.append(a[i])
+                i += 1
+            elif ib < ia:
+                merged.append(b[j])
+                j += 1
+            else:
+                merged.append((ia, ea + eb))
+                i += 1
+                j += 1
+        return Monomial((*merged, *a[i:], *b[j:]))
 
     def divides(self, other: "Monomial") -> bool:
         return all(other.exponent(i) >= e for i, e in self.exps)
@@ -238,13 +269,16 @@ class GradedPoly:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: GradedRing, terms: Mapping[Monomial, int | Fraction]):
-        cleaned: dict[Monomial, Fraction] = {}
-        for monomial, coeff in terms.items():
-            value = _frac(coeff)
-            if value:
-                cleaned[monomial] = value
         self.ring = ring
-        self.terms = cleaned
+        self.terms = {m: value for m, c in terms.items() if (value := _frac(c))}
+
+    @classmethod
+    def _wrap(cls, ring: GradedRing, terms: dict[Monomial, Fraction]) -> "GradedPoly":
+        """Internal results: ``terms`` already holds Fractions, so only zeros are dropped."""
+        poly = cls.__new__(cls)
+        poly.ring = ring
+        poly.terms = {m: c for m, c in terms.items() if c}
+        return poly
 
     # -- basic queries -----------------------------------------------------
 
@@ -315,12 +349,11 @@ class GradedPoly:
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         self._check_ring(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return GradedPoly(self.ring, out)
+        _add_scaled(out, other.terms)
+        return GradedPoly._wrap(self.ring, out)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.ring, {m: -c for m, c in self.terms.items()})
+        return GradedPoly._wrap(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + (-other)
@@ -330,18 +363,20 @@ class GradedPoly:
             return self.scale(other)
         self._check_ring(other)
         out: dict[Monomial, Fraction] = {}
+        get = out.get
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 * m2
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return GradedPoly(self.ring, out)
+                c = get(m)
+                out[m] = c1 * c2 if c is None else c + c1 * c2
+        return GradedPoly._wrap(self.ring, out)
 
     def __rmul__(self, other: "int | Fraction") -> "GradedPoly":
         return self.scale(other)
 
     def scale(self, value: int | Fraction) -> "GradedPoly":
         factor = _frac(value)
-        return GradedPoly(self.ring, {m: factor * c for m, c in self.terms.items()})
+        return GradedPoly._wrap(self.ring, {m: factor * c for m, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "GradedPoly":
         if exponent < 0:
@@ -405,6 +440,18 @@ class GradedPoly:
 
     def __repr__(self) -> str:
         return f"GradedPoly({self})"
+
+
+def _add_scaled(out: dict[Monomial, Fraction], terms: Mapping[Monomial, Fraction],
+                factor: Fraction | None = None) -> None:
+    """``out += factor * terms`` in place (``factor`` None means one); zero
+    entries stay until the result is wrapped."""
+    get = out.get
+    for m, c in terms.items():
+        if factor is not None:
+            c = c * factor
+        prev = get(m)
+        out[m] = c if prev is None else prev + c
 
 
 def poly_arith(a: GradedPoly, b: GradedPoly, op: str) -> GradedPoly:
@@ -507,8 +554,8 @@ class RingPresentation:
     fiber class; the generators appearing in it are the fiber directions and
     everything else is treated as pulled back from the base.
 
-    Instances are immutable after construction apart from an internal
-    normal-form cache.
+    Instances are immutable after construction apart from internal caches of
+    monomial normal forms and of the bases ``flagcoh.basis_monomials`` returns.
     """
 
     def __init__(
@@ -526,6 +573,7 @@ class RingPresentation:
         self.family = family
         self.top_degree = top_degree
         self._nf_cache: dict[Monomial, GradedPoly] = {}
+        self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._heads = RuleIndex(self.rules)
 
         for lhs, rhs in self.rules.items():
@@ -575,10 +623,10 @@ class RingPresentation:
         if p.ring != self.ring:
             raise RingMismatchError("polynomial is not in the presented ring")
         budget = [REWRITE_LIMIT]
-        out = self.ring.zero()
+        out: dict[Monomial, Fraction] = {}
         for monomial, coeff in p.terms.items():
-            out = out + self._monomial_nf(monomial, budget).scale(coeff)
-        return out
+            _add_scaled(out, self._monomial_nf(monomial, budget).terms, coeff)
+        return GradedPoly._wrap(self.ring, out)
 
     def _monomial_nf(self, monomial: Monomial, budget: list[int]) -> GradedPoly:
         cache = self._nf_cache
@@ -590,7 +638,7 @@ class RingPresentation:
                 continue
             lhs = self._find_rule(m)
             if lhs is None:
-                cache[m] = GradedPoly(self.ring, {m: Fraction(1)})
+                cache[m] = GradedPoly._wrap(self.ring, {m: Fraction(1)})
                 stack.pop()
                 continue
             quotient = m / lhs
@@ -605,10 +653,10 @@ class RingPresentation:
                 raise PresentationError(
                     f"rewriting exceeded {REWRITE_LIMIT} applications; rule set treated as non-terminating"
                 )
-            acc = self.ring.zero()
-            for m2, c2 in rhs.terms.items():
-                acc = acc + cache[quotient * m2].scale(c2)
-            cache[m] = acc
+            acc: dict[Monomial, Fraction] = {}
+            for child, c2 in zip(children, rhs.terms.values()):
+                _add_scaled(acc, cache[child].terms, c2)
+            cache[m] = GradedPoly._wrap(self.ring, acc)
             stack.pop()
         return cache[monomial]
 

@@ -343,10 +343,15 @@ def _make_primitive(row: dict[int, int], col: int) -> dict[int, int]:
 
 
 def basis_monomials(pres: RingPresentation, degree: int) -> list[Monomial]:
-    """Irreducible monomials of the given degree, largest first."""
-    return [
-        m for m in monomials_of_degree(pres.ring, degree) if not pres.is_reducible(m)
-    ]
+    """Irreducible monomials of the given degree, largest first.
+
+    Enumerated once per presentation and degree; each call returns a fresh list."""
+    cache = pres._basis_cache
+    if degree not in cache:
+        cache[degree] = tuple(
+            m for m in monomials_of_degree(pres.ring, degree) if not pres.is_reducible(m)
+        )
+    return list(cache[degree])
 
 
 def dimension_vector(pres: RingPresentation) -> list[int]:

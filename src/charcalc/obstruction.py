@@ -84,6 +84,15 @@ def ideal_membership(
         raise InvalidInputError("z does not live in the presented ring")
     if not z.is_homogeneous():
         raise InvalidInputError("z must be homogeneous")
+    gens_reduced = []
+    for g in gens:
+        if g.ring != pres.ring:
+            raise InvalidInputError("ideal generator in a different ring")
+        g_reduced = pres.normal_form(g)
+        if not g_reduced.is_homogeneous():
+            raise InvalidInputError("ideal generators must be homogeneous")
+        if not g_reduced.is_zero():
+            gens_reduced.append(g_reduced)
     reduced = pres.normal_form(z)
     if reduced.is_zero():
         return True
@@ -91,14 +100,7 @@ def ideal_membership(
     index = {m: j for j, m in enumerate(basis_monomials(pres, d))}
     target = _sparse_row(reduced, index)
     pivots: dict[int, dict[int, int]] = {}
-    for g in gens:
-        if g.ring != pres.ring:
-            raise InvalidInputError("ideal generator in a different ring")
-        g_reduced = pres.normal_form(g)
-        if g_reduced.is_zero():
-            continue
-        if not g_reduced.is_homogeneous():
-            raise InvalidInputError("ideal generators must be homogeneous")
+    for g_reduced in gens_reduced:
         e = g_reduced.homogeneous_degree()
         if e > d:
             continue

@@ -305,10 +305,24 @@ def test_validation_exit_codes(capsys):
          "--basis-element"),
         (("obstruct", "member", "--space", "gr:2,2", "--z", "y1+y2", "--gens", "y1"), "--z"),
         (("obstruct", "member", "--space", "gr:2,2", "--z", "y1", "--gens", "y1+y2"), "--gens"),
+        # the generators are checked even when z reduces to zero
+        (("obstruct", "member", "--space", "gr:2,2", "--z", "0", "--gens", "y1+y2"), "--gens"),
+        (("obstruct", "member", "--space", "gr:2,2", "--z", "y1^5", "--gens", "y1+y2"), "--gens"),
+        # projective space stays within its budget of n <= 10000
+        (("obstruct", "square", "--space", "cp" + "9" * 100), "--space"),
+        (("obstruct", "square", "--space", "cp10001"), "--space"),
+        (("obstruct", "square", "--space", "cpn:10001"), "--space"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert flag in err
+
+
+def test_projective_budget_edge_is_accepted(capsys):
+    assert cli.MAX_PROJECTIVE_DIM == 10_000
+    code, out, _ = run_cli(capsys, "bundle", "--space", "cp10000", "--emit", "dims")
+    assert code == 0
+    assert json.loads(out)["total"] == 10_001
 
 
 def test_deeply_nested_expression_never_exits_1():

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charcalc import exactring
+from charcalc.cli import _parse_space
 from charcalc.exactring import (
     BasisError,
+    GradedPoly,
     GradedRing,
     InvalidInputError,
     Monomial,
@@ -26,6 +29,8 @@ from charcalc.exactring import (
     poly_arith,
     poly_pow,
 )
+
+from charcalc.flagcoh import basis_monomials
 
 from conftest import evaluate, random_poly
 
@@ -268,3 +273,164 @@ def test_parse_poly_errors(xy):
         parse_poly(xy, "")
     with pytest.raises(InvalidInputError):
         parse_poly(xy, "x1 ^ x2")
+
+
+# -- the kernel against its former bodies ---------------------------------------
+#
+# The oracles below are the kernel as it was before monomials cached their hash
+# and products merged sorted pairs: monomials multiplied through a dict and
+# ``Monomial.make``, coefficients accumulated from ``Fraction(0)``, every
+# intermediate polynomial re-validated by the public constructor, and normal
+# forms summed one scaled term at a time.  Rule heads are found by a linear
+# scan in rule order.
+
+
+def old_monomial_mul(a, b):
+    merged = dict(a.exps)
+    for i, e in b.exps:
+        merged[i] = merged.get(i, 0) + e
+    return Monomial.make(merged)
+
+
+def old_mul(p, q):
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = old_monomial_mul(m1, m2)
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return GradedPoly(p.ring, out)
+
+
+def old_add(p, q):
+    out = dict(p.terms)
+    for m, c in q.terms.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return GradedPoly(p.ring, out)
+
+
+def old_scale(p, factor):
+    return GradedPoly(p.ring, {m: factor * c for m, c in p.terms.items()})
+
+
+def old_normal_form(pres, p):
+    cache = {}
+
+    def reduce(m):
+        if m not in cache:
+            lhs = linear_rule_scan(pres.rules, m)
+            if lhs is None:
+                cache[m] = GradedPoly(pres.ring, {m: Fraction(1)})
+            else:
+                quotient = m / lhs
+                acc = pres.ring.zero()
+                for m2, c2 in pres.rules[lhs].terms.items():
+                    acc = old_add(acc, old_scale(reduce(old_monomial_mul(quotient, m2)), c2))
+                cache[m] = acc
+        return cache[m]
+
+    out = pres.ring.zero()
+    for m, c in p.terms.items():
+        out = old_add(out, old_scale(reduce(m), c))
+    return out
+
+
+KERNEL_SPACES = ["gr:3,3", "gr:4,4", "flag:3,2,1", "pe:2,2", "pe:3,1", "sphere:2,2,4", "sphere:2,2,2,2"]
+
+
+@pytest.mark.parametrize("space", KERNEL_SPACES)
+def test_kernel_matches_former_bodies(space):
+    pres = _parse_space(space)
+    ring = pres.ring
+    rng = random.Random(space)
+    for _ in range(12):
+        p = random_poly(ring, rng, max_terms=4, max_exponent=3)
+        q = random_poly(ring, rng, max_terms=4, max_exponent=3)
+        product = p * q
+        assert product.terms == old_mul(p, q).terms
+        assert (p + q).terms == old_add(p, q).terms
+        assert (p - p).terms == {}
+        assert normal_form(product, pres).terms == old_normal_form(pres, product).terms
+        assert normal_form(p + q, pres).terms == old_normal_form(pres, old_add(p, q)).terms
+        assert all(isinstance(c, Fraction) and c for c in product.terms.values())
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 10**6))
+def test_monomial_product_is_the_merged_exponents(seed):
+    rng = random.Random(seed)
+    ngens = rng.randint(1, 7)
+
+    def monomial():
+        return Monomial.make({i: rng.randint(0, 3) for i in range(ngens) if rng.random() < 0.5})
+
+    a, b = monomial(), monomial()
+    merged = {i: a.exponent(i) + b.exponent(i) for i in range(ngens)}
+    product = a * b
+    assert product == Monomial.make(merged) == old_monomial_mul(a, b)
+    assert product.exps == Monomial.make(merged).exps
+    assert hash(product) == hash(Monomial.make(merged))
+    assert b * a == product
+
+
+def test_unit_monomial_is_the_identity():
+    m = Monomial.make({0: 2, 3: 1})
+    assert Monomial(()) * m == m and m * Monomial(()) == m
+    assert Monomial.one() * m is m and m * Monomial.one() is m
+    assert Monomial.one() * Monomial.one() == Monomial.one()
+
+
+def test_monomial_is_a_plain_value_class():
+    m = Monomial(((0, 2), (3, 1)))
+    assert not hasattr(Monomial, "__dataclass_fields__")
+    assert repr(m) == "Monomial(exps=((0, 2), (3, 1)))"
+    assert m == Monomial.make({3: 1, 0: 2}) and hash(m) == hash(Monomial.make({3: 1, 0: 2}))
+    assert m != ((0, 2), (3, 1))
+    assert m.__eq__(((0, 2), (3, 1))) is NotImplemented
+    assert len({m, Monomial(((0, 2), (3, 1))), Monomial.of(0, 2)}) == 2
+    with pytest.raises(InvalidInputError):
+        Monomial.make({0: -1})
+    with pytest.raises(InvalidInputError):
+        Monomial.of(0, -1)
+    with pytest.raises(InvalidInputError):
+        Monomial.of(0) / Monomial.of(1)
+
+
+def test_cancelled_terms_are_dropped(xy):
+    x, y = xy.gen(0), xy.gen(1)
+    product = (x + y) * (x - y)
+    assert Monomial.make({0: 1, 1: 1}) not in product.terms
+    assert product.terms == {Monomial.of(0, 2): Fraction(1), Monomial.of(1, 2): Fraction(-1)}
+    assert (x + y + (-x)).terms == {Monomial.of(1): Fraction(1)}
+    assert x.scale(0).terms == {}
+
+
+def test_public_constructor_still_validates(xy):
+    m = Monomial.of(0)
+    with pytest.raises(InvalidInputError):
+        GradedPoly(xy, {m: 1.5})
+    with pytest.raises(InvalidInputError):
+        xy.gen(0).scale(0.5)
+    p = GradedPoly(xy, {m: 3, Monomial.of(1): 0})
+    assert p.terms == {m: Fraction(3)} and type(p.terms[m]) is Fraction
+
+
+def test_rewrite_limit_still_bounds_rewriting(monkeypatch):
+    pres = _parse_space("gr:3,3")
+    p = pres.ring.gen(0) ** 7
+    expected = old_normal_form(pres, p)
+    assert normal_form(p, RingPresentation(pres.ring, pres.rules)) == expected
+    monkeypatch.setattr(exactring, "REWRITE_LIMIT", 3)
+    with pytest.raises(PresentationError, match="exceeded 3 applications"):
+        normal_form(p, RingPresentation(pres.ring, pres.rules))
+
+
+@pytest.mark.parametrize("space", ["gr:3,3", "flag:3,2,1", "pe:2,2", "sphere:2,4"])
+def test_memoized_basis_matches_a_fresh_enumeration(space):
+    pres = _parse_space(space)
+    for degree in range(-2, pres.top_degree + 5):
+        fresh = [m for m in monomials_of_degree(pres.ring, degree) if not pres.is_reducible(m)]
+        first = basis_monomials(pres, degree)
+        assert first == fresh
+        first.append(Monomial.of(0, 99))
+        first.reverse()
+        assert basis_monomials(pres, degree) == fresh
