@@ -80,6 +80,8 @@ OP_REGISTRY = {
 
 # Largest n accepted for --space cpN / cpn:N, checked before any list is built.
 MAX_PROJECTIVE_DIM = 10_000
+# Largest --partition weight for sym --op to-elementary|sigma-top.
+MAX_SYM_WEIGHT = 16
 
 
 # -- small input parsers -------------------------------------------------------
@@ -222,10 +224,11 @@ def _cmd_sym(args) -> tuple[dict, int]:
     I = _from_flag("--partition", symfun.Partition.parse, args.partition)
     if args.op == "sigma-top" and args.k is None:
         raise InvalidInputError("--k: required for sigma-top")
-    s_I = _from_flag("--partition", symfun.monomial_symmetric, I, args.vars)
     if args.op == "monomial":
-        return {"poly": str(s_I)}, 0
-    elem = symfun.to_elementary(s_I, args.vars)
+        return {"poly": str(_from_flag("--partition", symfun.monomial_symmetric, I, args.vars))}, 0
+    if I.weight > MAX_SYM_WEIGHT:
+        raise InvalidInputError(f"--partition: weight {I.weight} is over the budget of {MAX_SYM_WEIGHT}")
+    elem = _from_flag("--partition", symfun.SymExpr, {I: Fraction(1)}, args.vars).to_elementary()
     if args.op == "to-elementary":
         return {"elementary": str(elem)}, 0
     return _rational_payload(symfun.sigma_top_coefficient(elem, args.k)), 0

@@ -2,13 +2,14 @@
 
 Provides the monomial symmetric sums ``s_I`` indexed by partitions, the
 elementary symmetric polynomials, conversion of a symmetric polynomial to the
-elementary basis by triangular elimination along the dominance order, and the
-coefficient extraction used when pairing characteristic classes against
-spherical generators.
+elementary basis by triangular elimination on partitions (0-1 matrix counts),
+and the coefficient extraction used when pairing characteristic classes
+against spherical generators.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -114,13 +115,17 @@ def sigma_ring(v: int) -> GradedRing:
     )
 
 
+def _check_arity(I: Partition, v: int) -> None:
+    if len(I) > v:
+        raise ArityError(f"partition {I} has more parts than variables ({v})")
+
+
 def monomial_symmetric(I: Partition, v: int) -> GradedPoly:
     """The monomial symmetric sum ``s_I``: all distinct monomials of shape ``I``.
 
     Each distinct monomial appears with coefficient one.
     """
-    if len(I) > v:
-        raise ArityError(f"partition {I} has more parts than variables ({v})")
+    _check_arity(I, v)
     ambient = variable_ring(v)
     # Each distinct part value goes on a set of still-free positions, so the
     # work is proportional to the orbit, not to v!.
@@ -179,12 +184,83 @@ def _check_symmetric(p: GradedPoly, v: int) -> None:
             raise SymmetryError(f"orbit of shape {shape} is incomplete")
 
 
+def _dominated(shape: tuple[int, ...], v: int) -> list[tuple[int, ...]]:
+    """Partitions of ``sum(shape)`` with at most ``v`` parts that ``shape``
+    dominates, lexicographically decreasing: ``shape`` itself comes first."""
+    bounds = list(itertools.accumulate(shape)) or [0]
+    out: list[tuple[int, ...]] = []
+
+    def build(prefix: tuple[int, ...], total: int, largest: int) -> None:
+        if total == bounds[-1]:
+            out.append(prefix)
+        elif len(prefix) < v:
+            cap = min(largest, bounds[min(len(prefix), len(bounds) - 1)] - total)
+            for part in range(cap, 0, -1):
+                build(prefix + (part,), total + part, part)
+
+    build((), 0, bounds[0])
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_one_count(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+    """Number of 0-1 matrices with row sums ``rows`` and column sums ``cols``,
+    two partitions (weakly decreasing, no zeros)."""
+    if sum(rows) != sum(cols):
+        return 0
+    if len(rows) > len(cols):
+        # the count is symmetric under transposing; peel rows off the shorter side
+        return _zero_one_count(cols, rows)
+    if not rows or rows[0] == 1:
+        # rows of ones: a multinomial coefficient
+        return math.factorial(len(rows)) // math.prod(map(math.factorial, cols))
+    groups = [(c, len(list(g))) for c, g in itertools.groupby(cols)]
+    later = list(itertools.accumulate((m for _, m in reversed(groups)), initial=0))[::-1]
+    total = 0
+
+    def take(i: int, need: int, ways: int, left: tuple[int, ...]) -> None:
+        # the first row takes k of the m columns in group i, whose sums are c;
+        # left stays weakly decreasing, since the next group's c is at most c - 1
+        nonlocal total
+        if i == len(groups):
+            total += ways * _zero_one_count(rows[1:], left[: len(left) - left.count(0)])
+            return
+        c, m = groups[i]
+        for k in range(max(0, need - later[i + 1]), min(m, need) + 1):
+            take(i + 1, need - k, ways * math.comb(m, k), left + (c,) * (m - k) + (c - 1,) * k)
+
+    take(0, rows[0], 1, ())
+    return total
+
+
 @dataclass(frozen=True)
 class SymExpr:
     """A linear combination of monomial symmetric functions in ``v`` variables."""
 
     coeffs: Mapping[Partition, Fraction]
     v: int
+
+    def __post_init__(self) -> None:
+        for shape in self.coeffs:
+            _check_arity(shape, self.v)
+
+    def to_elementary(self) -> ElemExpr:
+        """The same function in the elementary basis, by leading-term elimination on
+        partitions: ``e_{lead'} = sum_mu M(lead', mu) m_mu`` over the ``mu`` that
+        ``lead`` dominates, ``M`` counting 0-1 matrices (Macdonald I.6)."""
+        work = {shape.parts: Fraction(c) for shape, c in self.coeffs.items() if c}
+        out: dict[Monomial, Fraction] = {}
+        while work:
+            lead = max(work, key=lambda parts: (sum(parts), parts))
+            coeff = work.pop(lead)
+            conj = Partition(lead).conjugate().parts
+            out[Monomial.make(Counter(part - 1 for part in conj))] = coeff
+            # the first shape is lead itself, where M is 1; shapes with more
+            # than v parts vanish in v variables, so they are never listed
+            for shape in _dominated(lead, self.v)[1:]:
+                work[shape] = work.get(shape, 0) - coeff * _zero_one_count(conj, shape)
+            work = {shape: c for shape, c in work.items() if c}
+        return ElemExpr(GradedPoly(sigma_ring(self.v), out), self.v)
 
     def expand(self) -> GradedPoly:
         out = variable_ring(self.v).zero()
@@ -224,34 +300,13 @@ class ElemExpr:
 
 
 def to_elementary(p: GradedPoly, v: int) -> ElemExpr:
-    """Express a symmetric polynomial exactly in the elementary basis.
-
-    Works by triangular elimination: the graded-lex leading monomial of a
-    symmetric polynomial has weakly decreasing exponents, and subtracting the
-    elementary monomial indexed by the conjugate partition strictly lowers it.
-    """
+    """Express a symmetric polynomial exactly in the elementary basis, through
+    its monomial symmetric sums (``SymExpr.to_elementary``)."""
     if p.ring.ngens != v:
         raise InvalidInputError("polynomial does not have the declared number of variables")
     if any(d != 2 for d in p.ring.degrees):
         raise InvalidInputError("symmetric calculus expects degree-2 variables")
-    _check_symmetric(p, v)
-    sigma = sigma_ring(v)
-    out = sigma.zero()
-    work = p
-    while not work.is_zero():
-        lead = work.leading_monomial()
-        coeff = work.coefficient(lead)
-        shape = Partition(tuple(e for _, e in lead.exps))
-        conj = shape.conjugate()
-        sigma_mono = Monomial.make(
-            {i: sum(1 for part in conj.parts if part == i + 1) for i in range(v)}
-        )
-        out = out + GradedPoly(sigma, {sigma_mono: coeff})
-        expansion = p.ring.one()
-        for part in conj.parts:
-            expansion = expansion * elementary(part, v, p.ring)
-        work = work - expansion.scale(coeff)
-    return ElemExpr(out, v)
+    return to_monomial_basis(p).to_elementary()
 
 
 def to_monomial_basis(p: GradedPoly) -> SymExpr:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import charcalc
-from charcalc import bundlecalc, cli
+from charcalc import bundlecalc, cli, symfun
 
 LONG = "9" * 5000
 
@@ -312,6 +312,10 @@ def test_validation_exit_codes(capsys):
         (("obstruct", "square", "--space", "cp" + "9" * 100), "--space"),
         (("obstruct", "square", "--space", "cp10001"), "--space"),
         (("obstruct", "square", "--space", "cpn:10001"), "--space"),
+        # sym conversions stay within their partition weight budget of 16
+        (("sym", "--op", "to-elementary", "--partition", "9,8", "--vars", "2"), "--partition"),
+        (("sym", "--op", "sigma-top", "--partition", "17", "--vars", "1", "--k", "1"),
+         "--partition"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
@@ -323,6 +327,69 @@ def test_projective_budget_edge_is_accepted(capsys):
     code, out, _ = run_cli(capsys, "bundle", "--space", "cp10000", "--emit", "dims")
     assert code == 0
     assert json.loads(out)["total"] == 10_001
+
+
+def test_sym_weight_budget_edge_is_accepted(capsys):
+    assert cli.MAX_SYM_WEIGHT == 16
+    # the sigma_16 coefficient of s_(5,4,3,2,1,1) is (-1)^5 5!/2! * (-1)^15 16,
+    # from the power-sum closed form in tests/test_symfun.py
+    code, out, err = run_cli(capsys, "sym", "--op", "sigma-top", "--partition", "5,4,3,2,1,1",
+                             "--vars", "16", "--k", "16")
+    assert code == 0, err
+    assert out.strip() == '{"value":"960"}'
+    # the budget is for the conversions; --op monomial prints its orbit as before
+    code, out, _ = run_cli(capsys, "sym", "--op", "monomial", "--partition", "9,8", "--vars", "2")
+    assert code == 0
+    assert json.loads(out)["poly"] == "1*t1^9*t2^8 + 1*t1^8*t2^9"
+
+
+def test_sym_conversions_match_the_library(capsys):
+    for parts, v in (((1,), 1), ((2,), 2), ((2, 1), 3), ((3, 1), 4), ((2, 2), 4),
+                     ((2, 1, 1), 5), ((3, 2, 1), 4), ((1, 1, 1), 3), ((4,), 2)):
+        shape = symfun.Partition(parts)
+        text = ",".join(map(str, parts))
+        elem = symfun.to_elementary(symfun.monomial_symmetric(shape, v), v)
+        code, out, _ = run_cli(capsys, "sym", "--op", "to-elementary", "--partition", text,
+                               "--vars", str(v))
+        assert code == 0
+        assert json.loads(out) == {"elementary": str(elem)}
+        for k in range(1, v + 2):
+            code, out, _ = run_cli(capsys, "sym", "--op", "sigma-top", "--partition", text,
+                                   "--vars", str(v), "--k", str(k))
+            assert code == 0
+            want = symfun.sigma_top_coefficient(elem, k)
+            assert json.loads(out) == {"value": cli.format_rational(want)}
+
+
+def test_sym_conversions_build_no_orbit(capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a polynomial in the variables was built")
+
+    monkeypatch.setattr(symfun, "monomial_symmetric", refuse)
+    monkeypatch.setattr(symfun, "variable_ring", refuse)
+    code, out, err = run_cli(capsys, "sym", "--op", "sigma-top", "--partition", "4,3,2,1",
+                             "--vars", "10", "--k", "10")
+    assert code == 0, err
+    assert out.strip() == '{"value":"60"}'
+
+
+def test_sym_arity_diagnostic(capsys):
+    for op in (("monomial",), ("to-elementary",), ("sigma-top", "--k", "1")):
+        code, out, err = run_cli(capsys, "sym", "--op", *op, "--partition", "3,1", "--vars", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --partition: partition (3,1) has more parts than variables (1)\n"
+
+
+def test_flag_value_starting_with_minus_needs_the_equals_form(capsys):
+    # argparse reads a separate value that starts with "-" as a flag
+    code, out, err = run_cli(capsys, "equi", "mu", "--n", "1", "--weights", "-1,0", "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert "--weights: expected one argument" in err
+    code, out, _ = run_cli(capsys, "equi", "mu", "--n", "1", "--weights=-1,0", "--k", "2")
+    assert code == 0
+    assert json.loads(out)["value"] == "1/4"
 
 
 def test_deeply_nested_expression_never_exits_1():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,13 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charcalc.exactring import GradedPoly, InvalidInputError, Monomial, parse_poly
+from charcalc.exactring import GradedPoly, GradedRing, InvalidInputError, Monomial, parse_poly
 from charcalc.symfun import (
     ArityError,
+    ElemExpr,
     Partition,
+    SymExpr,
     SymmetryError,
+    _check_symmetric,
+    _dominated,
+    _zero_one_count,
     elementary,
     monomial_symmetric,
+    sigma_ring,
     sigma_top_coefficient,
     to_elementary,
     to_monomial_basis,
@@ -191,3 +198,153 @@ def test_to_monomial_basis_round_trip():
 def test_elem_expr_encoding():
     elem = to_elementary(monomial_symmetric(Partition.of(1, 1), 2), 2)
     assert str(elem) == "1*sigma2"
+
+
+# -- the partition-indexed elimination against the v-variable loop ------------
+
+
+def old_to_elementary(p: GradedPoly, v: int) -> ElemExpr:
+    """The former implementation, kept as the oracle: the same leading-term
+    elimination, through products of elementary polynomials in v variables."""
+    if p.ring.ngens != v:
+        raise InvalidInputError("polynomial does not have the declared number of variables")
+    if any(d != 2 for d in p.ring.degrees):
+        raise InvalidInputError("symmetric calculus expects degree-2 variables")
+    _check_symmetric(p, v)
+    sigma = sigma_ring(v)
+    out = sigma.zero()
+    work = p
+    while not work.is_zero():
+        lead = work.leading_monomial()
+        coeff = work.coefficient(lead)
+        shape = Partition(tuple(e for _, e in lead.exps))
+        conj = shape.conjugate()
+        sigma_mono = Monomial.make(
+            {i: sum(1 for part in conj.parts if part == i + 1) for i in range(v)}
+        )
+        out = out + GradedPoly(sigma, {sigma_mono: coeff})
+        expansion = p.ring.one()
+        for part in conj.parts:
+            expansion = expansion * elementary(part, v, p.ring)
+        work = work - expansion.scale(coeff)
+    return ElemExpr(out, v)
+
+
+def partitions_of(n):
+    """Every partition of n, the empty one for n = 0."""
+    return [Partition(())] if n == 0 else [p for p in partitions_up_to(n, n) if p.weight == n]
+
+
+def dominates(lam, mu):
+    return all(sum(mu.parts[:k]) <= sum(lam.parts[:k]) for k in range(1, len(mu) + 1))
+
+
+def brute_zero_one_count(rows, cols):
+    """0-1 matrices with the given row and column sums, one row at a time."""
+    count = 0
+    for choice in itertools.product(
+        *(itertools.combinations(range(len(cols)), r) for r in rows)
+    ):
+        sums = [0] * len(cols)
+        for chosen in choice:
+            for j in chosen:
+                sums[j] += 1
+        count += tuple(sums) == tuple(cols)
+    return count
+
+
+def test_to_elementary_matches_variable_loop_on_every_small_partition():
+    pairs = 0
+    for n in range(7):
+        for shape in partitions_of(n):
+            for v in range(max(1, len(shape)), 9):
+                s_I = monomial_symmetric(shape, v)
+                want = str(old_to_elementary(s_I, v))
+                assert str(to_elementary(s_I, v)) == want, (shape, v)
+                assert str(SymExpr({shape: Fraction(1)}, v).to_elementary()) == want
+                pairs += 1
+    assert pairs == 192
+
+
+def test_to_elementary_matches_variable_loop_on_combinations(rng):
+    for _ in range(40):
+        v = rng.randint(1, 5)
+        shapes = [Partition(())] + partitions_up_to(7, v)
+        poly = variable_ring(v).zero()
+        for shape in rng.sample(shapes, k=rng.randint(2, 5)):
+            coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            poly = poly + monomial_symmetric(shape, v).scale(coeff)
+        got = to_elementary(poly, v)
+        assert str(got) == str(old_to_elementary(poly, v))
+        assert got.poly == old_to_elementary(poly, v).poly
+        assert got.expand() == poly
+
+
+def test_sigma_top_matches_power_sum_closed_form():
+    # s_I = (-1)^(l-1) (l-1)!/prod(mult!) p_n + decomposables, and
+    # p_n = (-1)^(n-1) n sigma_n + decomposables, for n = |I| <= v
+    for n in range(1, 10):
+        for shape in partitions_of(n):
+            mults = math.prod(math.factorial(shape.parts.count(p)) for p in set(shape.parts))
+            want = Fraction((-1) ** (len(shape) - 1) * math.factorial(len(shape) - 1), mults)
+            want *= (-1) ** (n - 1) * n
+            for v in (n, n + 2):
+                elem = SymExpr({shape: Fraction(1)}, v).to_elementary()
+                assert sigma_top_coefficient(elem, n) == want, (shape, v)
+
+
+def test_zero_one_count_matches_enumeration():
+    for n in range(7):
+        for rows in partitions_of(n):
+            for cols in partitions_of(n):
+                assert _zero_one_count(rows.parts, cols.parts) == brute_zero_one_count(
+                    rows.parts, cols.parts
+                ), (rows, cols)
+
+
+def test_zero_one_count_is_unitriangular_in_dominance_order():
+    for n in range(9):
+        for lam in partitions_of(n):
+            conj = lam.conjugate().parts
+            assert _zero_one_count(conj, lam.parts) == 1
+            for mu in partitions_of(n):
+                if not dominates(lam, mu):
+                    assert _zero_one_count(conj, mu.parts) == 0, (lam, mu)
+                else:
+                    assert _zero_one_count(conj, mu.parts) >= 1, (lam, mu)
+
+
+def test_dominated_lists_exactly_the_dominated_shapes():
+    for n in range(9):
+        for lam in partitions_of(n):
+            for v in range(max(1, len(lam)), n + 2):
+                want = [mu.parts for mu in partitions_of(n) if len(mu) <= v and dominates(lam, mu)]
+                assert _dominated(lam.parts, v) == sorted(want, reverse=True), (lam, v)
+                assert _dominated(lam.parts, v)[0] == lam.parts
+
+
+def test_sym_expr_checks_arity_and_drops_zero_coefficients():
+    with pytest.raises(ArityError, match=r"partition \(3,1\) has more parts than variables \(1\)"):
+        SymExpr({Partition.of(3, 1): Fraction(1)}, 1)
+    elem = SymExpr({Partition.of(2): Fraction(0), Partition(()): Fraction(3)}, 2).to_elementary()
+    assert str(elem) == "3"
+    assert str(SymExpr({}, 3).to_elementary()) == "0"
+    assert elem.poly.ring == sigma_ring(2)
+
+
+def test_to_elementary_rejects_ring_mismatches():
+    with pytest.raises(InvalidInputError):
+        to_elementary(monomial_symmetric(Partition.of(2, 1), 3), 4)
+    ring = GradedRing(("a", "b"), (2, 4))
+    with pytest.raises(InvalidInputError):
+        to_elementary(parse_poly(ring, "a*b"), 2)
+
+
+def test_to_elementary_builds_no_variable_products(monkeypatch):
+    # the conversion works on partitions: products of polynomials never run
+    def refuse(*_):
+        raise AssertionError("polynomial product formed")
+
+    monkeypatch.setattr(GradedPoly, "__mul__", refuse)
+    elem = SymExpr({Partition.of(4, 3, 2, 1): Fraction(1)}, 10).to_elementary()
+    assert sigma_top_coefficient(elem, 10) == 60
