@@ -82,6 +82,10 @@ OP_REGISTRY = {
 MAX_PROJECTIVE_DIM = 10_000
 # Largest --partition weight for sym --op to-elementary|sigma-top.
 MAX_SYM_WEIGHT = 16
+# Largest --vars for every sym op, checked before any ring or orbit is built.
+MAX_SYM_VARS = 10_000
+# Most terms sym --op monomial|elementary print, counted before any is built.
+MAX_SYM_TERMS = 10**5
 
 
 # -- small input parsers -------------------------------------------------------
@@ -214,10 +218,20 @@ def _cmd_poly(args) -> tuple[dict, int]:
     return {"result": str(result), "degree": result.degree()}, 0
 
 
+def _check_sym_terms(count: int, what: str, v: int) -> None:
+    if count > MAX_SYM_TERMS:
+        raise InvalidInputError(
+            f"--vars: {what} in {v} variables has more than the budget of {MAX_SYM_TERMS} terms"
+        )
+
+
 def _cmd_sym(args) -> tuple[dict, int]:
+    if args.vars > MAX_SYM_VARS:
+        raise InvalidInputError(f"--vars: {args.vars} is over the budget of {MAX_SYM_VARS}")
     if args.op == "elementary":
         if args.k is None:
             raise InvalidInputError("--k: required for elementary")
+        _check_sym_terms(math.comb(args.vars, args.k), f"sigma_{args.k}", args.vars)
         return {"poly": str(symfun.elementary(args.k, args.vars))}, 0
     if args.partition is None:
         raise InvalidInputError("--partition: required for this operation")
@@ -225,6 +239,7 @@ def _cmd_sym(args) -> tuple[dict, int]:
     if args.op == "sigma-top" and args.k is None:
         raise InvalidInputError("--k: required for sigma-top")
     if args.op == "monomial":
+        _check_sym_terms(symfun.orbit_size(I, args.vars), f"s{I}", args.vars)
         return {"poly": str(_from_flag("--partition", symfun.monomial_symmetric, I, args.vars))}, 0
     if I.weight > MAX_SYM_WEIGHT:
         raise InvalidInputError(f"--partition: weight {I.weight} is over the budget of {MAX_SYM_WEIGHT}")

@@ -13,6 +13,7 @@ rationals, reduced and with positive denominator by construction.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -320,12 +321,15 @@ class GradedPoly:
         )
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms sorted by (degree ascending, monomial order descending)."""
-        def key(item: tuple[Monomial, Fraction]):
-            degree, dense = item[0].order_key(self.ring)
-            return (degree, tuple(-e for e in dense))
+        """Terms sorted by (degree ascending, monomial order descending).
 
-        return sorted(self.terms.items(), key=key)
+        Within a degree the order compares dense exponent vectors
+        lexicographically.  The index-sorted pairs, read as ``(-i, e)``,
+        compare the same way, so no vector of the ring's length is built."""
+        items = sorted(self.terms.items(), reverse=True,
+                       key=lambda item: [(-i, e) for i, e in item[0].exps])
+        items.sort(key=lambda item: item[0].degree(self.ring))
+        return items
 
     def leading_monomial(self) -> Monomial:
         if not self.terms:
@@ -362,14 +366,10 @@ class GradedPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_ring(other)
-        out: dict[Monomial, Fraction] = {}
-        get = out.get
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                c = get(m)
-                out[m] = c1 * c2 if c is None else c + c1 * c2
-        return GradedPoly._wrap(self.ring, out)
+        width = (_max_exponent(self) + _max_exponent(other)).bit_length()
+        a, a_den = _pack(self, width)
+        b, b_den = _pack(other, width)
+        return _unpack(self.ring, _packed_mul(a, b), a_den * b_den, width)
 
     def __rmul__(self, other: "int | Fraction") -> "GradedPoly":
         return self.scale(other)
@@ -381,15 +381,17 @@ class GradedPoly:
     def __pow__(self, exponent: int) -> "GradedPoly":
         if exponent < 0:
             raise InvalidInputError("negative exponent")
-        result = self.ring.one()
-        base = self
+        width = (exponent * _max_exponent(self)).bit_length()
+        base, base_den = _pack(self, width)
+        result, result_den = {0: 1}, 1
         e = exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
+                result, result_den = _packed_mul(result, base), result_den * base_den
+            if e > 1:
+                base, base_den = _packed_mul(base, base), base_den * base_den
             e >>= 1
-        return result
+        return _unpack(self.ring, result, result_den, width)
 
     def substitute(
         self, assignments: Mapping[str, "GradedPoly"], ring: GradedRing | None = None
@@ -440,6 +442,62 @@ class GradedPoly:
 
     def __repr__(self) -> str:
         return f"GradedPoly({self})"
+
+
+# Products and powers run on packed terms: a monomial becomes one int holding
+# exponent e_i in bits [i*width, (i+1)*width), and the coefficients become
+# integer numerators over one common denominator.  The width holds the largest
+# exponent any product can reach, so adding keys multiplies monomials with no
+# carry between fields.  Terms keep their first-occurrence order throughout.
+
+
+def _max_exponent(p: GradedPoly) -> int:
+    return max((e for m in p.terms for _, e in m.exps), default=0)
+
+
+def _pack(p: GradedPoly, width: int) -> tuple[dict[int, int], int]:
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    packed = {}
+    for m, c in p.terms.items():
+        key = 0
+        for i, e in m.exps:
+            key |= e << (i * width)
+        packed[key] = c.numerator * (den // c.denominator)
+    return packed, den
+
+
+def _packed_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    get = out.get
+    b_items = list(b.items())
+    for k1, c1 in a.items():
+        for k2, c2 in b_items:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    for k in [k for k, c in out.items() if not c]:
+        del out[k]
+    return out
+
+
+def _unpack(ring: GradedRing, packed: dict[int, int], den: int, width: int) -> GradedPoly:
+    """The polynomial of ``packed`` over ``den``.  Equal ``(i, e)`` pairs are
+    shared between its monomials, which keeps large cached results small."""
+    mask = (1 << width) - 1
+    share = {}.setdefault
+    terms = {}
+    for key, numerator in packed.items():
+        pairs = []
+        i = 0
+        while key:
+            if e := key & mask:
+                pairs.append(share((i, e), (i, e)))
+            key >>= width
+            i += 1
+        terms[Monomial(tuple(pairs))] = Fraction(numerator, den)
+    # _packed_mul dropped the zeros already, so no copy filters them again
+    poly = GradedPoly.__new__(GradedPoly)
+    poly.ring, poly.terms = ring, terms
+    return poly
 
 
 def _add_scaled(out: dict[Monomial, Fraction], terms: Mapping[Monomial, Fraction],

@@ -89,12 +89,6 @@ class FlagSpec:
     def total(self) -> int:
         return sum(self.dims)
 
-    def multinomial(self) -> int:
-        out = math.factorial(self.total)
-        for m in self.dims:
-            out //= math.factorial(m)
-        return out
-
 
 @dataclass(frozen=True)
 class SphereProductSpec:

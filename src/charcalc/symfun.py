@@ -35,6 +35,7 @@ __all__ = [
     "ElemExpr",
     "variable_ring",
     "sigma_ring",
+    "orbit_size",
     "monomial_symmetric",
     "elementary",
     "to_elementary",
@@ -120,6 +121,13 @@ def _check_arity(I: Partition, v: int) -> None:
         raise ArityError(f"partition {I} has more parts than variables ({v})")
 
 
+def orbit_size(I: Partition, v: int) -> int:
+    """How many monomials of shape ``I`` there are in ``v`` variables, the term
+    count of ``s_I``: v!/((v - len(I))! * the product of the factorials of the
+    part multiplicities); zero when ``I`` has more parts than ``v``."""
+    return math.perm(v, len(I)) // math.prod(map(math.factorial, Counter(I.parts).values()))
+
+
 def monomial_symmetric(I: Partition, v: int) -> GradedPoly:
     """The monomial symmetric sum ``s_I``: all distinct monomials of shape ``I``.
 
@@ -176,11 +184,7 @@ def _check_symmetric(p: GradedPoly, v: int) -> None:
             seen[shape] = coeff
             counts[shape] = 1
     for shape, count in counts.items():
-        padded = shape.parts + (0,) * (v - len(shape))
-        orbit = math.factorial(v) // math.prod(
-            math.factorial(m) for m in Counter(padded).values()
-        )
-        if count != orbit:
+        if count != orbit_size(shape, v):
             raise SymmetryError(f"orbit of shape {shape} is incomplete")
 
 

@@ -381,6 +381,86 @@ def test_sym_arity_diagnostic(capsys):
         assert err == "error: --partition: partition (3,1) has more parts than variables (1)\n"
 
 
+def refuse_sym_builders(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a sym input over budget reached its builder")
+
+    for name in ("variable_ring", "sigma_ring", "monomial_symmetric", "elementary"):
+        monkeypatch.setattr(symfun, name, refuse)
+
+
+SYM_OPS = [("elementary", "--k", "1"), ("monomial", "--partition", "1"),
+           ("to-elementary", "--partition", "1"), ("sigma-top", "--partition", "1", "--k", "1")]
+
+
+@pytest.mark.parametrize("op", SYM_OPS)
+def test_sym_vars_budget(capsys, monkeypatch, op):
+    assert cli.MAX_SYM_VARS == 10_000
+    refuse_sym_builders(monkeypatch)
+    for v in ("10001", "1" + "0" * 12):
+        code, out, err = run_cli(capsys, "sym", "--op", *op, "--vars", v)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --vars: {v} is over the budget of 10000\n"
+    monkeypatch.undo()
+    code, out, err = run_cli(capsys, "sym", "--op", *op, "--vars", "10000")
+    assert code == 0, err
+    answer = json.loads(out)
+    if op[0] in ("elementary", "monomial"):
+        assert answer["poly"].count(" + ") == 9999
+    elif op[0] == "to-elementary":
+        assert answer == {"elementary": "1*sigma1"}
+    else:
+        assert answer == {"value": "1"}
+
+
+@pytest.mark.parametrize("op, edge, over", [
+    # sigma_2 has C(v, 2) terms: 99681 at v = 447, 100128 at v = 448
+    (("elementary", "--k", "2"), 447, 448),
+    # s(2,1) has v(v-1) terms: 99540 at v = 316, 100172 at v = 317
+    (("monomial", "--partition", "2,1"), 316, 317),
+])
+def test_sym_term_budget(capsys, monkeypatch, op, edge, over):
+    assert cli.MAX_SYM_TERMS == 10**5
+    refuse_sym_builders(monkeypatch)
+    code, out, err = run_cli(capsys, "sym", "--op", *op, "--vars", str(over))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --vars: ")
+    assert err.endswith(f" in {over} variables has more than the budget of 100000 terms\n")
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return symfun.variable_ring(1).one()
+
+    monkeypatch.undo()
+    monkeypatch.setattr(symfun, "elementary", record)
+    monkeypatch.setattr(symfun, "monomial_symmetric", record)
+    code, out, err = run_cli(capsys, "sym", "--op", *op, "--vars", str(edge))
+    assert code == 0, err
+    assert calls and calls[0][-1] == edge
+
+
+def test_sym_term_budget_rejects_before_any_work(capsys, monkeypatch):
+    refuse_sym_builders(monkeypatch)
+    for argv in (("elementary", "--k", "3", "--vars", "2000"),
+                 ("monomial", "--partition", "2,1", "--vars", "3000"),
+                 ("monomial", "--partition", "1,1,1", "--vars", "10000")):
+        code, out, err = run_cli(capsys, "sym", "--op", *argv)
+        assert code == 2
+        assert out == ""
+        assert "--vars" in err
+    # a sigma_k with k > v has no terms, and a shape longer than v has no orbit
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "sym", "--op", "elementary", "--k", "9" * 40, "--vars", "3")
+    assert (code, out.strip()) == (0, '{"poly":"0"}')
+    code, _, err = run_cli(capsys, "sym", "--op", "monomial", "--partition", "1,1,1,1",
+                           "--vars", "3")
+    assert code == 2
+    assert "--partition" in err
+
+
 def test_flag_value_starting_with_minus_needs_the_equals_form(capsys):
     # argparse reads a separate value that starts with "-" as a flag
     code, out, err = run_cli(capsys, "equi", "mu", "--n", "1", "--weights", "-1,0", "--k", "2")

@@ -434,3 +434,138 @@ def test_memoized_basis_matches_a_fresh_enumeration(space):
         first.append(Monomial.of(0, 99))
         first.reverse()
         assert basis_monomials(pres, degree) == fresh
+
+
+# The oracles below are the kernel products and powers ran on before packed
+# keys: monomials merged pair by pair, Fraction coefficients accumulated
+# through ``dict.get``, and powers by square-and-multiply over that product.
+# The packed kernel must give the same terms in the same order.
+
+
+def fraction_mul(p, q):
+    out = {}
+    get = out.get
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = m1 * m2
+            c = get(m)
+            out[m] = c1 * c2 if c is None else c + c1 * c2
+    return GradedPoly._wrap(p.ring, out)
+
+
+def fraction_pow(p, exponent):
+    result = p.ring.one()
+    base = p
+    e = exponent
+    while e:
+        if e & 1:
+            result = fraction_mul(result, base)
+        base = fraction_mul(base, base) if e > 1 else base
+        e >>= 1
+    return result
+
+
+def assert_same_terms(got, want):
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+    assert all(type(m) is Monomial for m in got.terms)
+
+
+WIDE_RING = GradedRing(tuple(f"z{i}" for i in range(24)), tuple(2 + 2 * (i % 2) for i in range(24)))
+
+
+@pytest.mark.parametrize("space", [*KERNEL_SPACES, "wide"])
+def test_packed_kernel_matches_fraction_kernel(space):
+    ring = WIDE_RING if space == "wide" else _parse_space(space).ring
+    rng = random.Random(f"packed {space}")
+    for _ in range(10):
+        p = random_poly(ring, rng, max_terms=5, max_exponent=4)
+        q = random_poly(ring, rng, max_terms=5, max_exponent=4)
+        assert_same_terms(p * q, fraction_mul(p, q))
+        assert_same_terms(q * p, fraction_mul(q, p))
+        assert_same_terms(p * p, fraction_mul(p, p))
+        for e in (0, 1, 2, 3, 5):
+            assert_same_terms(p**e, fraction_pow(p, e))
+    small = random_poly(ring, rng, max_terms=3, max_exponent=2)
+    assert_same_terms(small**13, fraction_pow(small, 13))
+
+
+def test_packed_kernel_keeps_order_through_cancellation(xy):
+    x, y = xy.gen(0), xy.gen(1)
+    half = Fraction(1, 2)
+    p = x**2 + x * y - y**2 * half  # x^2*y^2 cancels in p^2
+    square = p * p
+    assert Monomial.make({0: 2, 1: 2}) not in square.terms
+    assert_same_terms(square, fraction_mul(p, p))
+    assert_same_terms(p**2, fraction_pow(p, 2))
+    for e in (3, 4, 13):
+        assert_same_terms(p**e, fraction_pow(p, e))
+    q = x - y
+    assert_same_terms((x + y) * q, fraction_mul(x + y, q))
+    assert list(((x + y) * q).terms) == [Monomial.of(0, 2), Monomial.of(1, 2)]
+    # x^2*y^2 sums 1 - 1 + 2, passing through zero, and keeps its first
+    # position; x*y^3 sums 1 - 1 and is dropped
+    r = x**2 + x * y + y**2
+    s = y**2 - x * y + x**2 * 2
+    product = r * s
+    assert_same_terms(product, fraction_mul(r, s))
+    assert list(product.terms.items())[0] == (Monomial.make({0: 2, 1: 2}), Fraction(2))
+    assert Monomial.make({0: 1, 1: 3}) not in product.terms
+    assert_same_terms((p - p) * p, xy.zero())
+
+
+def test_packed_kernel_on_zero_and_constants(xy):
+    zero, one = xy.zero(), xy.one()
+    c = xy.constant(Fraction(-3, 2))
+    p = xy.gen(0) * Fraction(5, 6) - xy.gen(1) ** 3
+    for left, right in [(zero, p), (p, zero), (zero, zero), (c, p), (p, c), (c, c), (one, p)]:
+        assert_same_terms(left * right, fraction_mul(left, right))
+    for base in (zero, one, c, p):
+        for e in (0, 1, 13):
+            assert_same_terms(base**e, fraction_pow(base, e))
+    assert (zero**0).terms == {Monomial.one(): Fraction(1)}
+    assert (zero**13).terms == {}
+    assert (c**13).terms == {Monomial.one(): Fraction(-3, 2) ** 13}
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+@pytest.mark.parametrize("over", [-1, 0])
+def test_packed_fields_do_not_carry(width, over):
+    # Exponent sums of exactly 2**width - 1 and 2**width in every field: a
+    # field one bit too narrow would carry into the next generator.
+    ring = GradedRing(("a", "b", "c", "d"), (2, 2, 4, 2))
+    total = 2**width + over
+    low = total // 2
+    high = total - low
+    p = GradedPoly(ring, {Monomial.make({0: low, 1: high, 2: low, 3: high}): Fraction(2, 3),
+                          Monomial.make({1: low, 3: 1}): -1})
+    q = GradedPoly(ring, {Monomial.make({0: high, 1: low, 2: high, 3: low}): Fraction(-5, 4),
+                          Monomial.make({0: 1, 2: high}): 3})
+    product = p * q
+    assert_same_terms(product, fraction_mul(p, q))
+    assert Monomial.make({0: total, 1: total, 2: total, 3: total}) in product.terms
+    for exponent, top in [(total, 1), (1, total), *([(total // 3, 3)] if total % 3 == 0 else [])]:
+        r = GradedPoly(ring, {Monomial.make({0: top, 1: top, 2: 1}): Fraction(1, 2),
+                              Monomial.make({2: top, 3: 1}): -1})
+        power = r**exponent
+        assert_same_terms(power, fraction_pow(r, exponent))
+        assert Monomial.make({0: total, 1: total, 2: exponent}) in power.terms
+
+
+def dense_sorted_terms(p):
+    # the former body: a dense exponent vector of the ring's length per term
+    def key(item):
+        degree, dense = item[0].order_key(p.ring)
+        return (degree, tuple(-e for e in dense))
+
+    return sorted(p.terms.items(), key=key)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**6))
+def test_sorted_terms_match_the_dense_order(seed):
+    rng = random.Random(seed)
+    ring = [WIDE_RING, GradedRing(("a", "b", "c"), (2, 4, 2))][seed % 2]
+    p = random_poly(ring, rng, max_terms=12, max_exponent=3)
+    p = p * random_poly(ring, rng, max_terms=3, max_exponent=2)
+    assert p.sorted_terms() == dense_sorted_terms(p)

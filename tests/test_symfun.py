@@ -19,6 +19,7 @@ from charcalc.symfun import (
     _zero_one_count,
     elementary,
     monomial_symmetric,
+    orbit_size,
     sigma_ring,
     sigma_top_coefficient,
     to_elementary,
@@ -65,6 +66,16 @@ def test_monomial_symmetric_enumeration_oracle():
     assert len(poly.terms) == 12
     assert got == expected
     assert all(c == 1 for c in poly.terms.values())
+
+
+def test_orbit_size_counts_the_orbit():
+    for v in range(1, 7):
+        for I in [Partition(())] + partitions_up_to(7, 8):
+            if len(I) > v:
+                assert orbit_size(I, v) == 0
+                continue
+            distinct = set(itertools.permutations(I.parts + (0,) * (v - len(I))))
+            assert orbit_size(I, v) == len(distinct) == len(monomial_symmetric(I, v).terms)
 
 
 def test_monomial_symmetric_arity_error():
