@@ -3,8 +3,10 @@
 A weighted circle action on CP^n is encoded by its integer weights on the
 homogeneous coordinates.  In moment coordinates the normalized Hamiltonian is
 an affine function on the standard simplex, and every integral this module
-computes reduces to a closed form: monomial integrals over the simplex, or,
-for powers of the moment, complete homogeneous polynomials of its values.
+computes reduces to a closed form: monomial integrals over the simplex; for
+powers of the moment, complete homogeneous polynomials of its vertex values;
+and for products of several moments, the Dirichlet moment sum over maps from
+the factors to the vertices.  No integrand is expanded.
 
 Normalization: the symplectic volume is one, i.e. the integral of a function
 f against the volume form equals n! times its plain integral over the
@@ -153,15 +155,43 @@ def su_product_integral(ell: int, k: int) -> Rational:
     """Moment integral of H_1^2 H_2 ... H_{k-1} on CP^{ell-1}.
 
     The H_j are the normalized moments of the standard commuting circles.
+    The unit-volume integral over the n-simplex of m affine forms with vertex
+    values ``a_{i,v}`` is the Dirichlet moment sum ``n!/(n+m)!`` times the
+    sum over maps f from forms to vertices of
+    ``prod_i a_{i,f(i)} * prod_v |f^-1(v)|!`` (Lasserre-Avrachenkov, Amer.
+    Math. Monthly 2001).  Grouping the forms by vertex makes that a subset
+    convolution over the vertices, the multi-form version of the ``h_k``
+    recurrence in ``mu_of_circle``.
     """
     if not 2 <= k <= ell:
         raise InvalidInputError("need 2 <= k <= ell")
-    n = ell - 1
-    integrand = normalized_moment(WeightedCircleAction(n, su_weight_vector(ell, 1))) ** 2
-    for j in range(2, k):
-        h_j = normalized_moment(WeightedCircleAction(n, su_weight_vector(ell, j)))
-        integrand = integrand * h_j
-    return moment_integral(integrand, n)
+    # integer vertex values ell*w - sum(w) = ell * (w - mean), one row per form
+    forms = [su_weight_vector(ell, j) for j in (1, *range(1, k))]
+    values = [[ell * w - sum(weights) for w in weights] for weights in forms]
+    m, n = len(values), ell - 1
+    # sums[S]: the moment sum restricted to the forms in the bit set S, over
+    # the vertices seen so far.  A form that vanishes at a vertex cannot go
+    # there, and taking the vertices with the fewest such live forms first
+    # keeps the table small.
+    live = [sum(1 << i for i in range(m) if values[i][v]) for v in range(n + 1)]
+    sums = {0: 1}
+    for v in sorted(range(n + 1), key=lambda v: live[v].bit_count()):
+        # block[T] = |T|! * prod_{i in T} a_{i,v}, over the subsets T of live[v]
+        block = {0: 1}
+        for i in range(m):
+            if live[v] >> i & 1:
+                block.update({T | 1 << i: c * values[i][v] for T, c in block.items()})
+        block = {T: c * math.factorial(T.bit_count()) for T, c in block.items()}
+        grown = dict(sums)
+        for S, s in sums.items():
+            free = live[v] & ~S
+            T = free
+            while T:
+                grown[S | T] = grown.get(S | T, 0) + s * block[T]
+                T = (T - 1) & free
+        sums = grown
+    total = sums.get((1 << m) - 1, 0)
+    return Fraction(math.factorial(n) * total, math.factorial(n + m) * ell ** m)
 
 
 def nu1_at_fixed_point(action: WeightedCircleAction, vertex: int) -> Rational:

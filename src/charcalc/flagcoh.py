@@ -489,31 +489,13 @@ def phi_pullback(k: int) -> GradedPoly:
     ``(y_0 + ... + y_k)(-y_0 - y_1 + y_2 + ... + y_k) *
     prod_{j=2..k} (-j y_j + sum_{i>j} y_i)``.  A product of k+1 linear forms
     in k+1 square-zero generators is the permanent of their coefficient rows
-    times ``y_0 ... y_k``.
+    times ``y_0 ... y_k``.  Row j >= 2 has no entry left of column j, so
+    choosing columns from the last row up forces every such row onto its
+    diagonal entry -j; rows 0 and 1 then fill columns 0 and 1, and both ways
+    give -1.  The permanent is ``2 (-1)^k k!``.
     """
     if k < 1:
         raise InvalidInputError("k must be at least 1")
-    rows = [[1] * (k + 1), [-1, -1] + [1] * (k - 1)]
-    rows += [[0] * j + [-j] + [1] * (k - j) for j in range(2, k + 1)]
     ring = GradedRing(tuple(f"y{j}" for j in range(k + 1)), (2,) * (k + 1))
     top = Monomial.make({j: 1 for j in range(k + 1)})
-    return GradedPoly(ring, {top: _permanent(rows)})
-
-
-def _permanent(rows: list[list[int]]) -> int:
-    """Ryser's formula ``(-1)^n sum_S (-1)^|S| prod_i sum_{j in S} a_ij``.
-
-    The column subsets S run in Gray-code order, so each step adds or drops
-    one column from the row sums.
-    """
-    n = len(rows)
-    sums = [0] * n
-    total = 0
-    for step in range(1, 1 << n):
-        column = (step & -step).bit_length() - 1
-        subset = step ^ (step >> 1)
-        sign = 1 if subset >> column & 1 else -1
-        for i, row in enumerate(rows):
-            sums[i] += sign * row[column]
-        total += (-1) ** bin(subset).count("1") * math.prod(sums)
-    return (-1) ** n * total
+    return GradedPoly(ring, {top: 2 * (-1) ** k * math.factorial(k)})

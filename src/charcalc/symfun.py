@@ -167,15 +167,14 @@ def elementary(k: int, v: int, ring: GradedRing | None = None) -> GradedPoly:
     return GradedPoly(ambient, terms)
 
 
-def _pattern(monomial: Monomial) -> Partition:
-    return Partition(tuple(sorted((e for _, e in monomial.exps), reverse=True)))
-
-
-def _check_symmetric(p: GradedPoly, v: int) -> None:
-    seen: dict[Partition, Fraction] = {}
-    counts: dict[Partition, int] = {}
+def _check_symmetric(p: GradedPoly, v: int) -> dict[Partition, Fraction]:
+    """The ``s_I`` coefficients of ``p``, shapes in first-occurrence order;
+    raises ``SymmetryError`` unless every permutation orbit is whole and
+    constant."""
+    seen: dict[tuple[int, ...], Fraction] = {}
+    counts: dict[tuple[int, ...], int] = {}
     for monomial, coeff in p.terms.items():
-        shape = _pattern(monomial)
+        shape = tuple(sorted((e for _, e in monomial.exps), reverse=True))
         if shape in seen:
             if seen[shape] != coeff:
                 raise SymmetryError("coefficients differ within a permutation orbit")
@@ -183,9 +182,13 @@ def _check_symmetric(p: GradedPoly, v: int) -> None:
         else:
             seen[shape] = coeff
             counts[shape] = 1
-    for shape, count in counts.items():
-        if count != orbit_size(shape, v):
-            raise SymmetryError(f"orbit of shape {shape} is incomplete")
+    coeffs: dict[Partition, Fraction] = {}
+    for shape, coeff in seen.items():
+        partition = Partition(shape)
+        if counts[shape] != orbit_size(partition, v):
+            raise SymmetryError(f"orbit of shape {partition} is incomplete")
+        coeffs[partition] = coeff
+    return coeffs
 
 
 def _dominated(shape: tuple[int, ...], v: int) -> list[tuple[int, ...]]:
@@ -316,11 +319,7 @@ def to_elementary(p: GradedPoly, v: int) -> ElemExpr:
 def to_monomial_basis(p: GradedPoly) -> SymExpr:
     """Decompose a symmetric polynomial as a combination of the ``s_I``."""
     v = p.ring.ngens
-    _check_symmetric(p, v)
-    coeffs: dict[Partition, Fraction] = {}
-    for monomial, coeff in p.terms.items():
-        coeffs[_pattern(monomial)] = coeff
-    return SymExpr(coeffs, v)
+    return SymExpr(_check_symmetric(p, v), v)
 
 
 def sigma_top_coefficient(e: ElemExpr, k: int) -> Rational:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import charcalc
-from charcalc import bundlecalc, cli, symfun
+from charcalc import bundlecalc, cli, equivariant, flagcoh, symfun
 
 LONG = "9" * 5000
 
@@ -440,6 +440,72 @@ def test_sym_term_budget(capsys, monkeypatch, op, edge, over):
     code, out, err = run_cli(capsys, "sym", "--op", *op, "--vars", str(edge))
     assert code == 0, err
     assert calls and calls[0][-1] == edge
+
+
+def refuse_closed_forms(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("an input over budget reached its computation")
+
+    monkeypatch.setattr(flagcoh, "phi_pullback", refuse)
+    monkeypatch.setattr(equivariant, "su_product_integral", refuse)
+    for name in ("chern_roots", "chern_class", "sphere_eval"):
+        monkeypatch.setattr(bundlecalc, name, refuse)
+
+
+# lambda2 nested d deep around E4 has rank 4, 6, 15, 105, 5460, 14903070, ...
+def nested_lambda2(depth):
+    return "lambda2(" * depth + "E4" + ")" * depth
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("bundle", "--phi", "10001"), "error: --phi: 10001 is over the budget of 10000\n"),
+    (("bundle", "--phi", "9" * 40), f"error: --phi: {'9' * 40} is over the budget of 10000\n"),
+    (("equi", "su-product", "--ell", "13", "--k", "2"),
+     "error: --ell: 13 is over the budget of 12\n"),
+    # the budget comes before the range check on --k
+    (("equi", "su-product", "--ell", "13", "--k", "99"),
+     "error: --ell: 13 is over the budget of 12\n"),
+    (("chern", "--expr", "E10001", "--k", "1"),
+     "error: --expr: rank is over the budget of 10000\n"),
+    (("chern", "--expr", "E100000", "--k", "100000", "--eval", "sphere"),
+     "error: --expr: rank is over the budget of 10000\n"),
+    (("chern", "--expr", "tensor(E100,E101)", "--k", "1", "--emit", "roots"),
+     "error: --expr: rank is over the budget of 10000\n"),
+    (("chern", "--expr", "sum(E5000,E5001)", "--k", "1", "--emit", "monomial-symmetric"),
+     "error: --expr: rank is over the budget of 10000\n"),
+    (("chern", "--expr", nested_lambda2(5), "--k", "1", "--eval", "sphere"),
+     "error: --expr: rank is over the budget of 10000\n"),
+    (("chern", "--expr", nested_lambda2(22), "--k", "1", "--eval", "sphere"),
+     "error: --expr: rank is over the budget of 10000\n"),
+])
+def test_closed_form_budgets_reject_before_any_work(capsys, monkeypatch, argv, err):
+    assert (cli.MAX_PHI, cli.MAX_SU_ELL, cli.MAX_BUNDLE_RANK) == (10_000, 12, 10_000)
+    refuse_closed_forms(monkeypatch)
+    code, out, got = run_cli(capsys, *argv)
+    assert (code, out, got) == (2, "", err)
+
+
+def test_closed_form_budget_edges_are_accepted(capsys):
+    code, out, err = run_cli(capsys, "bundle", "--phi", "10000")
+    assert code == 0, err
+    coefficient, _, monomial = json.loads(out)["class"].partition("*")
+    assert int(Decimal(coefficient)) == 2 * math.factorial(10_000)
+    assert monomial.count("*") == 10_000
+    code, out, err = run_cli(capsys, "equi", "su-product", "--ell", "12", "--k", "12")
+    assert code == 0, err
+    assert json.loads(out)["value"] == "1/8112468"
+    # ranks 10000, 10000 and 5460; a_2 is 1, 100 + 100 for the shared leaf, and
+    # (4-2)(6-2)(15-2)(105-2) through lambda2's factor (rank - 2)
+    for expr, value in (("E10000", "1"), ("tensor(E100,E100)", "200"),
+                        (nested_lambda2(4), "10712")):
+        code, out, err = run_cli(capsys, "chern", "--expr", expr, "--k", "2", "--eval", "sphere")
+        assert code == 0, err
+        assert json.loads(out)["value"] == value, expr
+    # a tensor with a rank-0 factor stays rank 0, however large the other side
+    code, out, err = run_cli(capsys, "chern", "--expr", "tensor(E9999,triv(0))", "--k", "1",
+                             "--emit", "roots")
+    assert code == 0, err
+    assert json.loads(out) == {"rank": 0, "roots": []}
 
 
 def test_sym_term_budget_rejects_before_any_work(capsys, monkeypatch):

@@ -222,6 +222,11 @@ def test_su_product_integral_values():
     assert su_product_integral(2, 2) == Fraction(1, 3)
     assert su_product_integral(3, 3) == Fraction(1, 15)
     assert su_product_integral(4, 2) == Fraction(1, 10)
+    assert su_product_integral(6, 4) == Fraction(1, 252)
+    assert su_product_integral(8, 6) == Fraction(1, 5148)
+    assert su_product_integral(10, 8) == Fraction(1, 97240)
+    # the free-ring expansion takes seconds here
+    assert su_product_integral(12, 10) == Fraction(1, 1763580)
 
 
 def test_su_product_integral_nonzero_panel():
@@ -248,6 +253,22 @@ def test_su_product_matches_oracle():
                     alpha[index] = e
                 direct += coeff * simplex_integral_oracle(alpha, n)
             assert su_product_integral(ell, k) == math.factorial(n) * direct
+
+
+def expanded_su_product(ell, k):
+    """Oracle: the former body, which multiplies the moment polynomials in the
+    free ring and integrates the product term by term."""
+    n = ell - 1
+    integrand = normalized_moment(WeightedCircleAction(n, su_weight_vector(ell, 1))) ** 2
+    for j in range(2, k):
+        integrand = integrand * normalized_moment(WeightedCircleAction(n, su_weight_vector(ell, j)))
+    return moment_integral(integrand, n)
+
+
+def test_su_product_matches_expansion():
+    cases = [(ell, k) for ell in range(2, 8) for k in range(2, ell + 1)] + [(8, 6)]
+    for ell, k in cases:
+        assert su_product_integral(ell, k) == expanded_su_product(ell, k), (ell, k)
 
 
 def test_su_product_range_validation():

@@ -530,6 +530,43 @@ def test_phi_pullback_matches_expand_then_reduce():
         assert str(value) == str(expected)
 
 
+def permanent(rows):
+    """Oracle: Ryser's formula ``(-1)^n sum_S (-1)^|S| prod_i sum_{j in S} a_ij``.
+
+    The column subsets S run in Gray-code order, so each step adds or drops
+    one column from the row sums.
+    """
+    n = len(rows)
+    sums = [0] * n
+    total = 0
+    for step in range(1, 1 << n):
+        column = (step & -step).bit_length() - 1
+        subset = step ^ (step >> 1)
+        sign = 1 if subset >> column & 1 else -1
+        for i, row in enumerate(rows):
+            sums[i] += sign * row[column]
+        total += (-1) ** bin(subset).count("1") * math.prod(sums)
+    return (-1) ** n * total
+
+
+def test_permanent_oracle_small_cases():
+    assert permanent([[2]]) == 2
+    assert permanent([[1, 2], [3, 4]]) == 10
+    assert permanent([[1] * 4] * 4) == 24
+
+
+def test_phi_pullback_matches_permanent():
+    # a product of k+1 linear forms in k+1 square-zero generators is the
+    # permanent of their coefficient rows times y_0 ... y_k
+    for k in range(1, 15):
+        rows = [[1] * (k + 1), [-1, -1] + [1] * (k - 1)]
+        rows += [[0] * j + [-j] + [1] * (k - j) for j in range(2, k + 1)]
+        top = Monomial.make({j: 1 for j in range(k + 1)})
+        value = phi_pullback(k)
+        assert value.terms == {top: permanent(rows)}
+        assert value.ring.generators == tuple(f"y{j}" for j in range(k + 1))
+
+
 def test_phi_pullback_rejects_zero():
     with pytest.raises(InvalidInputError):
         phi_pullback(0)

@@ -206,6 +206,72 @@ def test_to_monomial_basis_round_trip():
     assert sym.expand() == poly
 
 
+def two_pass_monomial_basis(p: GradedPoly) -> SymExpr:
+    """The former ``to_monomial_basis``, kept as the oracle: one pass checks the
+    orbits, building a ``Partition`` per term, and a second pass builds them
+    all again for the coefficients."""
+    v = p.ring.ngens
+
+    def pattern(monomial):
+        return Partition(tuple(sorted((e for _, e in monomial.exps), reverse=True)))
+
+    seen, counts = {}, {}
+    for monomial, coeff in p.terms.items():
+        shape = pattern(monomial)
+        if shape in seen:
+            if seen[shape] != coeff:
+                raise SymmetryError("coefficients differ within a permutation orbit")
+            counts[shape] += 1
+        else:
+            seen[shape] = coeff
+            counts[shape] = 1
+    for shape, count in counts.items():
+        if count != orbit_size(shape, v):
+            raise SymmetryError(f"orbit of shape {shape} is incomplete")
+    coeffs = {}
+    for monomial, coeff in p.terms.items():
+        coeffs[pattern(monomial)] = coeff
+    return SymExpr(coeffs, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.lists(st.sampled_from(["drop", "recoefficient", "stray"]),
+                                       max_size=3))
+def test_one_pass_monomial_basis_matches_two_pass(seed, damages):
+    # no damage leaves the polynomial symmetric; several damages raise
+    # several errors, and the first one found must be the same
+    rng = random.Random(seed)
+    v = rng.randint(1, 4)
+    shapes = [Partition(())] + partitions_up_to(5, v)
+    terms = {}
+    for shape in rng.sample(shapes, k=rng.randint(1, 4)):
+        coeff = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
+        terms.update(dict.fromkeys(monomial_symmetric(shape, v).terms, coeff))
+    for damage in damages:
+        victim = rng.choice(list(terms))
+        if damage == "drop" and len(terms) > 1:
+            del terms[victim]
+        elif damage == "recoefficient":
+            terms[victim] += 1
+        elif damage == "stray":
+            stray = Monomial.of(rng.randrange(v), rng.randint(6, 7))
+            terms[stray] = terms.get(stray, 0) + 1
+    # the term order decides which shape comes first and which error is raised
+    items = list(terms.items())
+    rng.shuffle(items)
+    p = GradedPoly(variable_ring(v), dict(items))
+    try:
+        want = two_pass_monomial_basis(p)
+    except SymmetryError as exc:
+        with pytest.raises(SymmetryError) as raised:
+            to_monomial_basis(p)
+        assert str(raised.value) == str(exc)
+        return
+    got = to_monomial_basis(p)
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert got.v == want.v
+
+
 def test_elem_expr_encoding():
     elem = to_elementary(monomial_symmetric(Partition.of(1, 1), 2), 2)
     assert str(elem) == "1*sigma2"
