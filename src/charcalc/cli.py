@@ -88,6 +88,9 @@ MAX_SYM_VARS = 10_000
 MAX_SYM_TERMS = 10**5
 # Largest rank of a chern --expr bundle, checked before any root or pairing.
 MAX_BUNDLE_RANK = 10_000
+# Most work chern may do to build a class (without --eval sphere): rank x
+# C(g + k, k) for g root variables, checked before any root is built.
+MAX_CHERN_WORK = 5 * 10**5
 # Largest k for bundle --phi: the class has k+1 generators and k! in it.
 MAX_PHI = 10_000
 # Largest --ell for equi su-product: the moment sum visits up to 3^k subset
@@ -270,6 +273,26 @@ def _check_rank(expr: bundlecalc.BundleExpr) -> None:
         raise InvalidInputError(f"--expr: rank is over the budget of {MAX_BUNDLE_RANK}")
 
 
+def _check_chern_work(expr: bundlecalc.BundleExpr, k: int) -> None:
+    """Refuse a class whose build is over ``MAX_CHERN_WORK``.  The total class
+    is a product of rank factors ``1 + root`` in g root variables, truncated
+    at degree 2k, so each partial product has at most C(g + k, k) terms; past
+    the rank the product stops growing, so k counts at most the rank.  The
+    count climbs one factor of k at a time and stops at the budget."""
+    rank = expr.rank
+    g = sum(leaf.m for leaf in bundlecalc.universal_leaves(expr))
+    work = rank
+    for j in range(1, min(k, rank) + 1):
+        if work > MAX_CHERN_WORK:
+            break
+        work = work * (g + j) // j  # rank * C(g + j, j), exactly
+    if work > MAX_CHERN_WORK:
+        raise InvalidInputError(
+            f"--k: the class is over the work budget of {MAX_CHERN_WORK} "
+            f"(rank x C(g + k, k) with rank {rank} and g = {g} root variables)"
+        )
+
+
 def _cmd_chern(args) -> tuple[dict, int]:
     expr = _from_flag("--expr", bundlecalc.parse_bundle_expr, args.expr)
     _check_rank(expr)
@@ -280,6 +303,7 @@ def _cmd_chern(args) -> tuple[dict, int]:
     if args.emit == "roots":
         roots = bundlecalc.chern_roots(expr)
         return {"rank": len(roots), "roots": [str(r) for r in roots]}, 0
+    _check_chern_work(expr, args.k)
     cls = bundlecalc.chern_class(expr, args.k)
     if args.emit == "monomial-symmetric":
         return {"monomial_symmetric": str(symfun.to_monomial_basis(cls))}, 0

@@ -13,6 +13,7 @@ rationals, reduced and with positive denominator by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -481,7 +482,8 @@ def _packed_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 def _unpack(ring: GradedRing, packed: dict[int, int], den: int, width: int) -> GradedPoly:
     """The polynomial of ``packed`` over ``den``.  Equal ``(i, e)`` pairs are
-    shared between its monomials, which keeps large cached results small."""
+    shared between its monomials, which keeps large cached results small.
+    A run of empty fields is skipped in one shift, by the trailing-zero count."""
     mask = (1 << width) - 1
     share = {}.setdefault
     terms = {}
@@ -491,8 +493,12 @@ def _unpack(ring: GradedRing, packed: dict[int, int], den: int, width: int) -> G
         while key:
             if e := key & mask:
                 pairs.append(share((i, e), (i, e)))
-            key >>= width
-            i += 1
+                key >>= width
+                i += 1
+            else:
+                skip = ((key & -key).bit_length() - 1) // width
+                key >>= skip * width
+                i += skip
         terms[Monomial(tuple(pairs))] = Fraction(numerator, den)
     # _packed_mul dropped the zeros already, so no copy filters them again
     poly = GradedPoly.__new__(GradedPoly)
@@ -610,10 +616,12 @@ class RingPresentation:
     which makes rewriting terminate.  ``fiber_basis``, when present, is the
     ordered Leray-Hirsch basis ``b_0 = 1, ..., b_N`` with ``b_N`` the top
     fiber class; the generators appearing in it are the fiber directions and
-    everything else is treated as pulled back from the base.
+    everything else is treated as pulled back from the base.  ``basis``, when
+    present, lists every monomial no rule divides, by ascending degree and
+    largest first within a degree; ``basis_by_degree`` groups it by degree.
 
-    Instances are immutable after construction apart from internal caches of
-    monomial normal forms and of the bases ``flagcoh.basis_monomials`` returns.
+    Instances are immutable after construction apart from an internal cache
+    of monomial normal forms.
     """
 
     def __init__(
@@ -624,6 +632,7 @@ class RingPresentation:
         relations: Sequence[GradedPoly] = (),
         family: str = "custom",
         top_degree: int | None = None,
+        basis: Sequence[Monomial] | None = None,
     ):
         self.ring = ring
         self.rules = dict(rules)
@@ -631,8 +640,13 @@ class RingPresentation:
         self.family = family
         self.top_degree = top_degree
         self._nf_cache: dict[Monomial, GradedPoly] = {}
-        self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._heads = RuleIndex(self.rules)
+        self.basis = None if basis is None else tuple(basis)
+        self.basis_by_degree: dict[int, tuple[Monomial, ...]] = {}
+        for degree, group in itertools.groupby(self.basis or (), lambda m: m.degree(ring)):
+            if degree <= next(reversed(self.basis_by_degree), -1):
+                raise PresentationError("basis is not ordered by degree")
+            self.basis_by_degree[degree] = tuple(group)
 
         for lhs, rhs in self.rules.items():
             if lhs.is_one():

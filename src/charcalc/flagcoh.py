@@ -8,12 +8,13 @@ top fiber class in a Leray-Hirsch presentation.
 
 Relations are turned into rewrite rules degree by degree with exact linear
 elimination: within each degree the span of the monomial multiples of the
-relations is row-reduced against the graded-lex monomial order, and each
+relations is echelonized against the graded-lex monomial order, and each
 pivot not already covered by a lower-degree rule becomes a rule.  The result
 is a terminating, confluent system on the finitely many degrees that matter
 (everything above the top degree reduces to zero), without any general-purpose
-Groebner machinery.  The elimination clears denominators and runs over the
-integers, fraction-free; only the finished rows become ``Fraction`` rows.
+Groebner machinery.  Each relation is cleared of denominators once, and the
+elimination runs over the integers, fraction-free; only the rules become
+``Fraction`` polynomials.
 
 Not every multiple is eliminated.  Rows enter in relation order, and the
 multiple ``m*r_i`` is left out when ``m`` is a leading monomial of the span
@@ -23,22 +24,29 @@ row lies in the span of the rows that are kept, so every degree's span and
 its reduced echelon form, hence the rules, are unchanged; on the flag and
 Grassmannian relations no kept row reduces to zero.
 
-Above the top degree the quotient vanishes: forward elimination must reach
-full rank there, the reduced echelon form is then the identity, and each
-monomial no earlier rule divides becomes a rule ``m -> 0`` without
-back-substitution.  Up to the top degree the non-pivot columns are the
-irreducible monomials, so a flag presentation reads its basis off them.
+Only the rows that become rules are reduced.  Up to the top degree a pivot
+whose monomial an earlier rule head divides is dropped as it stands; a kept
+pivot row alone is cleared of the other pivot columns, smallest first, by
+the forward-eliminated rows, which gives its reduced echelon row.  Above the
+top degree the quotient vanishes: forward elimination must reach full rank
+there, and each monomial no earlier rule divides becomes a rule ``m -> 0``.
+
+Up to the top degree the non-pivot columns are the irreducible monomials, so
+a flag presentation reads its whole basis off the completion.  Every
+presentation built here stores that basis, and ``basis_monomials`` and
+``dimension_vector`` look it up instead of testing monomials against rules.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .exactring import (
     GradedPoly,
@@ -113,6 +121,7 @@ def point_presentation() -> RingPresentation:
         fiber_basis=(Monomial.one(),),
         family="point",
         top_degree=0,
+        basis=(Monomial.one(),),
     )
 
 
@@ -143,10 +152,11 @@ def sphere_product_ring(
     return RingPresentation(
         ring,
         rules,
-        fiber_basis=tuple(basis),
+        fiber_basis=basis,
         relations=relations,
         family="sphere_product",
         top_degree=sum(spec.dims),
+        basis=basis,
     )
 
 
@@ -185,7 +195,8 @@ def _rref_rules(
 
     Processes every even degree up to ``top_degree + max generator degree``;
     above the top degree the quotient must vanish, which the elimination
-    verifies as it goes.
+    verifies as it goes.  Each relation is cleared of denominators once, so
+    every row is built as an integer row.
 
     Each degree's rows are fed to elimination in relation order, and the row
     ``m*r_i`` is skipped when ``m`` is a leading monomial of the span of
@@ -196,12 +207,15 @@ def _rref_rules(
     every degree, and with it the reduced echelon form, is unchanged; the skip
     needs no regularity of the relations.
 
-    Above the top degree forward elimination must reach full rank, and then
-    the reduced echelon form is the identity: back-substitution is skipped
-    and every monomial not divisible by an earlier rule becomes ``m -> 0``.
-    Up to the top degree the non-pivot columns, all of them below the lowest
-    relation degree, are exactly the monomials no rule divides; when
-    ``basis`` is given, they are appended to it as the quotient's basis.
+    Up to the top degree a pivot becomes a rule only when no earlier rule
+    head divides its monomial, and only that row is brought to reduced form
+    (``_reduce_kept``); the other pivot rows stay as forward elimination left
+    them.  The non-pivot columns, all of them below the lowest relation
+    degree, are exactly the monomials no rule divides; when ``basis`` is
+    given, they are appended to it as the quotient's basis.  Above the top
+    degree forward elimination must reach full rank, and then the reduced
+    echelon form is the identity: every monomial not divisible by an earlier
+    rule becomes ``m -> 0``.
     """
     if not relations:
         return {}
@@ -213,7 +227,9 @@ def _rref_rules(
     rules: dict[Monomial, GradedPoly] = {}
     heads = RuleIndex()
     rel_degrees = [r.homogeneous_degree() for r in relations]
-    rel_terms = [[(m.dense(ring), c) for m, c in r.terms.items()] for r in relations]
+    rel_terms = [
+        [(m.dense(ring), c) for m, c in _clear_denominators(r.terms).items()] for r in relations
+    ]
     max_rel_degree = max(rel_degrees)
     # degree -> dense exponent vectors of its monomials, kept while the
     # degree can still be a multiplier degree
@@ -246,35 +262,40 @@ def _rref_rules(
             for col in itertools.islice(pivots, before, None):
                 leads[col] = i
         introduced[degree] = leads
-        if degree <= top_degree:
-            reduced = _back_substitute(pivots)
-            if basis is not None:
-                basis.extend(m for j, m in enumerate(columns) if j not in pivots)
-        elif len(pivots) == len(columns):  # full rank: the reduced form is the identity
-            reduced = dict.fromkeys(range(len(columns)), {})
-        else:
+        if degree > top_degree and len(pivots) < len(columns):
             raise PresentationError(
                 f"quotient does not vanish above its top degree (degree {degree})"
             )
-        for pivot_col, row in sorted(reduced.items()):
-            lhs = columns[pivot_col]
+        if degree <= top_degree and basis is not None:
+            basis.extend(m for j, m in enumerate(columns) if j not in pivots)
+        for col in sorted(pivots):
+            lhs = columns[col]
             if heads.find(lhs) is not None:
                 continue
-            rhs_terms = {columns[j]: -c for j, c in row.items() if j != pivot_col}
-            rules[lhs] = GradedPoly(ring, rhs_terms)
+            rhs: dict[Monomial, Fraction] = {}
+            if degree <= top_degree:  # above it the reduced form is the identity
+                row = _reduce_kept(pivots, col)
+                lead = row.pop(col)
+                rhs = {columns[j]: Fraction(-c, lead) for j, c in sorted(row.items())}
+            rules[lhs] = GradedPoly(ring, rhs)
             heads.add(lhs)
     return rules
 
 
-def _reduce_forward(rows: list[dict[int, Fraction]], pivots: dict[int, dict[int, int]]) -> None:
-    """Echelon ``rows`` into ``pivots`` (pivot column -> integer row) in place.
+def _clear_denominators(terms: Mapping[Monomial, Fraction]) -> dict[Monomial, int]:
+    """``terms`` times the lcm of their denominators: integers with the same span."""
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}
 
-    Each row is cleared of denominators and eliminated over the integers; a
-    row that does not reduce to zero adds one pivot, in insertion order.
+
+def _reduce_forward(rows: list[dict[int, int]], pivots: dict[int, dict[int, int]]) -> None:
+    """Echelon integer ``rows`` into ``pivots`` (pivot column -> row) in place.
+
+    The rows are consumed: each is eliminated over the integers, and one that
+    does not reduce to zero is made primitive and becomes a pivot row, in
+    insertion order.
     """
-    for row in rows:
-        scale = math.lcm(*(c.denominator for c in row.values()))
-        current = {j: c.numerator * (scale // c.denominator) for j, c in row.items()}
+    for current in rows:
         while current:
             col = min(current)
             if col not in pivots:
@@ -283,31 +304,35 @@ def _reduce_forward(rows: list[dict[int, Fraction]], pivots: dict[int, dict[int,
             _eliminate(current, pivots[col], col)
 
 
-def _back_substitute(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]:
-    """Reduced echelon form of forward-eliminated ``pivots``, which are reduced
-    against each other in place; rows are divided by their leading entries
-    only once, at the end."""
-    order = sorted(pivots)
-    for k in range(len(order) - 1, 0, -1):
-        col = order[k]
-        row = pivots[col]
-        for other_col in order[:k]:
-            other = pivots[other_col]
-            if col in other:
-                _eliminate(other, row, col)
-                _make_primitive(other, other_col)
-    return {
-        col: {j: Fraction(c, row[col]) for j, c in row.items()}
-        for col, row in pivots.items()
-    }
+def _reduce_kept(pivots: dict[int, dict[int, int]], col: int) -> dict[int, int]:
+    """A copy of pivot row ``col`` cleared of every other pivot column.
+
+    The smallest remaining pivot column is cleared first, by its unreduced
+    pivot row.  A pivot row holds only columns from its own on, so each
+    elimination adds only larger columns and the loop ends.  The result is
+    the reduced echelon row of ``col`` times its leading entry.
+    """
+    row = dict(pivots[col])
+    queue = [j for j in row if j != col and j in pivots]
+    heapq.heapify(queue)
+    while queue:
+        j = heapq.heappop(queue)
+        if j not in row:
+            continue
+        pivot = pivots[j]
+        _eliminate(row, pivot, j)
+        for k in pivot:
+            if k != j and k in pivots and k in row:
+                heapq.heappush(queue, k)
+    return row
 
 
 def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> None:
     """Clear ``row[col]`` in place: row <- (b/g)*row - (a/g)*pivot.
 
     Here ``a = row[col]``, ``b = pivot[col]`` and ``g = gcd(a, b)``, so the
-    result stays integral; pivot rows lead with ``b > 0``, so a pivot row
-    being back-substituted keeps a positive leading entry.
+    result stays integral; pivot rows lead with ``b > 0``, so a kept row
+    being reduced keeps a positive leading entry.
     """
     a, b = row.pop(col), pivot[col]
     g = math.gcd(a, b)
@@ -337,15 +362,11 @@ def _make_primitive(row: dict[int, int], col: int) -> dict[int, int]:
 
 
 def basis_monomials(pres: RingPresentation, degree: int) -> list[Monomial]:
-    """Irreducible monomials of the given degree, largest first.
-
-    Enumerated once per presentation and degree; each call returns a fresh list."""
-    cache = pres._basis_cache
-    if degree not in cache:
-        cache[degree] = tuple(
-            m for m in monomials_of_degree(pres.ring, degree) if not pres.is_reducible(m)
-        )
-    return list(cache[degree])
+    """Irreducible monomials of the given degree, largest first: a lookup in
+    the presentation's basis.  Each call returns a fresh list."""
+    if pres.basis is None:
+        raise PresentationError("presentation has no basis")
+    return list(pres.basis_by_degree.get(degree, ()))
 
 
 def dimension_vector(pres: RingPresentation) -> list[int]:
@@ -415,10 +436,11 @@ def _flag_presentation_cached(dims: tuple[int, ...]) -> RingPresentation:
     return RingPresentation(
         ring,
         rules,
-        fiber_basis=tuple(basis),
+        fiber_basis=basis,
         relations=tuple(relations),
         family=family,
         top_degree=top_degree,
+        basis=basis,
     )
 
 
@@ -463,17 +485,27 @@ def projective_bundle(
         replacement = replacement - c_i.remap(ring, shift) * (ring.gen(0) ** (n + 1 - i))
     rules[Monomial.of(0, n + 1)] = replacement
 
-    basis = tuple(Monomial.of(0, j) for j in range(n + 1))
+    fiber_basis = tuple(Monomial.of(0, j) for j in range(n + 1))
+    # the heads are the base heads and c^(n+1), in disjoint generators, so a
+    # monomial is irreducible exactly when its base part is and c has
+    # exponent at most n
+    basis = [
+        Monomial.make({0: j, **{shift[i]: e for i, e in b.exps}})
+        for b in base.basis
+        for j in range(n + 1)
+    ]
+    basis.sort(key=lambda m: (m.degree(ring), tuple(-e for e in m.dense(ring))))
     relations = tuple(r.remap(ring, shift) for r in base.relations)
     relations = relations + ((ring.gen(0) ** (n + 1)) - replacement,)
     base_top = base.top_degree if base.top_degree is not None else 0
     return RingPresentation(
         ring,
         rules,
-        fiber_basis=basis,
+        fiber_basis=fiber_basis,
         relations=relations,
         family="projective_bundle",
         top_degree=base_top + 2 * n,
+        basis=basis,
     )
 
 

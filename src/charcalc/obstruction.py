@@ -19,7 +19,7 @@ from .exactring import (
     Monomial,
     RingPresentation,
 )
-from .flagcoh import _reduce_forward, basis_monomials
+from .flagcoh import _clear_denominators, _reduce_forward, basis_monomials
 
 __all__ = [
     "DegreeBasis",
@@ -50,10 +50,11 @@ def degree_basis(pres: RingPresentation, d: int) -> DegreeBasis:
     return DegreeBasis(d, tuple(basis_monomials(pres, d)))
 
 
-def _sparse_row(p: GradedPoly, index: Mapping[Monomial, int]) -> dict[int, Fraction]:
-    """Coordinates of ``p`` as a sparse row ``{column: coefficient}``."""
+def _sparse_row(p: GradedPoly, index: Mapping[Monomial, int]) -> dict[int, int]:
+    """Coordinates of ``p`` cleared of denominators, as a sparse integer row
+    ``{column: coefficient}``; scaling keeps the span, so ranks are unchanged."""
     try:
-        return {index[monomial]: coeff for monomial, coeff in p.terms.items()}
+        return {index[m]: c for m, c in _clear_denominators(p.terms).items()}
     except KeyError:
         raise InvalidInputError("polynomial leaves the expected degree component") from None
 
@@ -63,8 +64,8 @@ def _product_rows(
     p: GradedPoly,
     monomials: Sequence[Monomial],
     index: Mapping[Monomial, int],
-) -> list[dict[int, Fraction]]:
-    """Sparse rows of ``normal_form(p*m)``, one for each monomial ``m``."""
+) -> list[dict[int, int]]:
+    """Integer rows of ``normal_form(p*m)``, one for each monomial ``m``."""
     return [
         _sparse_row(pres.normal_form(p * GradedPoly(pres.ring, {m: Fraction(1)})), index)
         for m in monomials

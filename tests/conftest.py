@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from charcalc.exactring import GradedPoly, GradedRing, Monomial
+from charcalc.exactring import (
+    GradedPoly,
+    GradedRing,
+    Monomial,
+    RingPresentation,
+    monomials_of_degree,
+)
 
 
 @pytest.fixture
@@ -34,3 +40,8 @@ def random_poly(ring: GradedRing, rng: random.Random, max_terms: int = 5,
         coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         terms[Monomial.make(exps)] = terms.get(Monomial.make(exps), Fraction(0)) + coeff
     return GradedPoly(ring, terms)
+
+
+def enumerated_basis(pres: RingPresentation, degree: int) -> list[Monomial]:
+    """Oracle: every monomial of the degree, largest first, that no rule divides."""
+    return [m for m in monomials_of_degree(pres.ring, degree) if not pres.is_reducible(m)]

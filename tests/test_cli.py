@@ -508,6 +508,35 @@ def test_closed_form_budget_edges_are_accepted(capsys):
     assert json.loads(out) == {"rank": 0, "roots": []}
 
 
+def test_chern_work_budget_edges(capsys, monkeypatch):
+    assert cli.MAX_CHERN_WORK == 5 * 10**5
+    # rank x C(g + k, k): E706 at k = 1 is 706 * 707 = 499142 and E707 is
+    # 707 * 708 = 500556; E1 plus a rank-9999 trivial bundle has g = 1, so
+    # k = 49 is 10000 * 50, the budget itself, and k = 50 is 510000
+    refuse_closed_forms(monkeypatch)
+    for argv in (("E707", "--k", "1"), ("E300", "--k", "2"), ("E2000", "--k", "1"),
+                 ("sum(E1,triv(9999))", "--k", "50"),
+                 ("sum(E1,triv(9999))", "--k", "9" * 40),
+                 ("lambda2(E30)", "--k", "3", "--emit", "monomial-symmetric")):
+        code, out, err = run_cli(capsys, "chern", "--expr", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: --k: the class is over the work budget of 500000"), err
+    built = []
+    monkeypatch.setattr(bundlecalc, "chern_class",
+                        lambda expr, k: built.append(k) or bundlecalc.root_ring(expr)[0].zero())
+    code, out, err = run_cli(capsys, "chern", "--expr", "E706", "--k", "1")
+    assert (code, built) == (0, [1]), err
+    monkeypatch.undo()
+    code, out, err = run_cli(capsys, "chern", "--expr", "sum(E1,triv(9999))", "--k", "49")
+    assert code == 0, err
+    assert json.loads(out) == {"class": "0", "degree": 98}
+    code, out, err = run_cli(capsys, "chern", "--expr", "sum(E1,triv(9999))", "--k", "1")
+    assert json.loads(out) == {"class": "1*t1", "degree": 2}
+    # past the rank the class is zero, and k counts only up to the rank
+    code, out, err = run_cli(capsys, "chern", "--expr", "tensor(E2,E3)", "--k", "9" * 40)
+    assert (code, json.loads(out)["class"]) == (0, "0")
+
+
 def test_sym_term_budget_rejects_before_any_work(capsys, monkeypatch):
     refuse_sym_builders(monkeypatch)
     for argv in (("elementary", "--k", "3", "--vars", "2000"),

@@ -32,7 +32,7 @@ from charcalc.exactring import (
 
 from charcalc.flagcoh import basis_monomials
 
-from conftest import evaluate, random_poly
+from conftest import enumerated_basis, evaluate, random_poly
 
 
 @pytest.fixture
@@ -428,7 +428,7 @@ def test_rewrite_limit_still_bounds_rewriting(monkeypatch):
 def test_memoized_basis_matches_a_fresh_enumeration(space):
     pres = _parse_space(space)
     for degree in range(-2, pres.top_degree + 5):
-        fresh = [m for m in monomials_of_degree(pres.ring, degree) if not pres.is_reducible(m)]
+        fresh = enumerated_basis(pres, degree)
         first = basis_monomials(pres, degree)
         assert first == fresh
         first.append(Monomial.of(0, 99))
@@ -550,6 +550,45 @@ def test_packed_fields_do_not_carry(width, over):
         power = r**exponent
         assert_same_terms(power, fraction_pow(r, exponent))
         assert Monomial.make({0: total, 1: total, 2: exponent}) in power.terms
+
+
+def field_by_field_unpack(ring, packed, den, width):
+    # the former body of _unpack: one shift per field, empty fields included
+    mask = (1 << width) - 1
+    share = {}.setdefault
+    terms = {}
+    for key, numerator in packed.items():
+        pairs = []
+        i = 0
+        while key:
+            if e := key & mask:
+                pairs.append(share((i, e), (i, e)))
+            key >>= width
+            i += 1
+        terms[Monomial(tuple(pairs))] = Fraction(numerator, den)
+    poly = GradedPoly.__new__(GradedPoly)
+    poly.ring, poly.terms = ring, terms
+    return poly
+
+
+@pytest.mark.parametrize("ngens", [1, 3, 24, 300])
+def test_unpack_matches_field_by_field_unpack(ngens):
+    # sparse keys (runs of empty fields, below, between and above the set
+    # ones), dense keys and the constant key, in a seeded order
+    ring = GradedRing(tuple(f"t{i}" for i in range(ngens)), (2,) * ngens)
+    rng = random.Random(f"unpack {ngens}")
+    for width in (1, 2, 3, 7, 64):
+        packed = {0: 5}
+        for _ in range(40):
+            fields = rng.sample(range(ngens), rng.randint(1, min(ngens, rng.choice((1, 2, 4, ngens)))))
+            key = sum(rng.randint(1, (1 << width) - 1) << (i * width) for i in fields)
+            packed[key] = rng.choice((-3, -1, 1, 2, 7))
+        for den in (1, 6):
+            got = exactring._unpack(ring, packed, den, width)
+            assert_same_terms(got, field_by_field_unpack(ring, packed, den, width))
+            assert [m.exps for m in got.terms] == [
+                m.exps for m in field_by_field_unpack(ring, packed, den, width).terms
+            ]
 
 
 def dense_sorted_terms(p):

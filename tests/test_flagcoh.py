@@ -8,11 +8,13 @@ from charcalc.exactring import (
     GradedPoly,
     InvalidInputError,
     Monomial,
+    PresentationError,
     RingPresentation,
     monomials_of_degree,
     parse_poly,
 )
 from charcalc import flagcoh
+from charcalc.cli import _parse_space
 from charcalc.flagcoh import (
     FlagSpec,
     SphereProductSpec,
@@ -29,7 +31,7 @@ from charcalc.flagcoh import (
     sphere_product_ring,
 )
 
-from conftest import random_poly
+from conftest import enumerated_basis, random_poly
 from test_obstruction import fraction_row_reduce, row_reduce
 
 
@@ -219,10 +221,11 @@ def test_dimension_vectors_match_q_multinomial():
             assert dimension_vector(pres) == q_multinomial((m, k)), (m, k)
     flags = [
         dims
-        for total in range(1, 6)
+        for total in range(1, 7)
         for dims in weakly_decreasing_compositions(total, total)
     ]
-    for dims in flags + [(2, 2, 2)]:
+    assert len(flags) == 1 + 2 + 3 + 5 + 7 + 11
+    for dims in flags:
         assert dimension_vector(flag_presentation(dims)) == q_multinomial(dims), dims
 
 
@@ -308,11 +311,11 @@ def test_completion_basis_matches_irreducible_monomials(dims):
     """The basis read off the completion's non-pivot columns is the set of
     monomials no rule divides, in the same order."""
     pres = grassmannian_presentation(*dims) if len(dims) == 2 else flag_presentation(dims)
-    probe = RingPresentation(pres.ring, pres.rules)
     want = [
-        m for degree in range(0, pres.top_degree + 1, 2) for m in basis_monomials(probe, degree)
+        m for degree in range(0, pres.top_degree + 1, 2) for m in enumerated_basis(pres, degree)
     ]
     assert list(pres.fiber_basis) == want
+    assert pres.basis == pres.fiber_basis
 
 
 @pytest.mark.parametrize("dims", BENCHMARK_SPACES, ids=lambda dims: ",".join(map(str, dims)))
@@ -491,6 +494,62 @@ def test_flag_as_bundle_base():
     pres = projective_bundle(base, [y.scale(2), base.ring.zero()], 1)
     c = pres.ring.gen("c")
     assert pres.normal_form(c ** 2) == -(pres.ring.gen("y1") * c).scale(2)
+
+
+def _bundle_over(base, degree_two_coefficients, n):
+    """P(E) of rank n+1 over ``base``: c_1 is the given combination of the
+    degree-2 generators, c_2 the square of c_1, and the rest zero."""
+    ring = base.ring
+    c1 = ring.zero()
+    for g, d, a in zip(ring.gens(), ring.degrees, degree_two_coefficients):
+        if d == 2:
+            c1 = c1 + g.scale(a)
+    chern = [c1, c1 * c1] + [ring.zero()] * (n - 1)
+    return projective_bundle(base, chern[: n + 1], n)
+
+
+STORED_BASIS_SPACES = {
+    "point": lambda: point_presentation(),
+    "sphere:2,4,2": lambda: sphere_product_ring([2, 4, 2]),
+    "sphere:2^5": lambda: sphere_product_ring([2] * 5),
+    "cp1": lambda: _parse_space("cp1"),
+    "cp4": lambda: _parse_space("cp4"),
+    "pe:2,2": lambda: _parse_space("pe:2,2"),
+    "pe:3,1": lambda: _parse_space("pe:3,1"),
+    "pe:1,2": lambda: _parse_space("pe:1,2"),
+    "trivial over s6": lambda: projective_bundle(
+        sphere_product_ring([6]), [sphere_product_ring([6]).ring.zero()] * 3, 2
+    ),
+    "bundle over spheres": lambda: _bundle_over(sphere_product_ring([2, 2, 4]), (1, -2, 0), 2),
+    "bundle over gr(2,2)": lambda: _bundle_over(grassmannian_presentation(2, 2), (3,), 2),
+    "bundle over gr(3,2)": lambda: _bundle_over(grassmannian_presentation(3, 2), (1,), 1),
+    "bundle over flag(2,1,1)": lambda: _bundle_over(flag_presentation((2, 1, 1)), (1, -1), 2),
+    "bundle over flag(1,1,1)": lambda: _bundle_over(flag_presentation((1, 1, 1)), (2, 0), 3),
+    "gr(2,3)": lambda: grassmannian_presentation(2, 3),
+    "flag(3,2,1)": lambda: flag_presentation((3, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("space", STORED_BASIS_SPACES)
+def test_stored_basis_matches_enumeration(space):
+    """The basis each constructor stores is the list of monomials no rule
+    divides, by ascending degree and largest first, and every degree's
+    lookup is the enumeration of that degree."""
+    pres = STORED_BASIS_SPACES[space]()
+    top = pres.top_degree
+    want = [m for degree in range(0, top + 1) for m in enumerated_basis(pres, degree)]
+    assert list(pres.basis) == want
+    for degree in range(-2, top + 5):
+        assert basis_monomials(pres, degree) == enumerated_basis(pres, degree), degree
+    assert sum(dimension_vector(pres)) == len(pres.basis)
+
+
+def test_basis_lookup_needs_a_stored_basis():
+    pres = grassmannian_presentation(2, 2)
+    with pytest.raises(PresentationError, match="no basis"):
+        basis_monomials(RingPresentation(pres.ring, pres.rules), 2)
+    with pytest.raises(PresentationError, match="ordered by degree"):
+        RingPresentation(pres.ring, pres.rules, basis=pres.basis[::-1])
 
 
 # -- the square-zero product ----------------------------------------------------

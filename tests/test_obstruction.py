@@ -9,8 +9,11 @@ from charcalc.exactring import (
 )
 from charcalc import flagcoh
 from charcalc.flagcoh import (
-    _back_substitute,
+    _clear_denominators,
+    _eliminate,
+    _make_primitive,
     _reduce_forward,
+    _reduce_kept,
     flag_presentation,
     grassmannian_presentation,
     point_presentation,
@@ -120,12 +123,49 @@ def dense_in_span(rows, target):
     return not any(current)
 
 
-def row_reduce(rows):
-    """The completion's reduced row echelon form: forward elimination into
-    integer pivot rows, then back-substitution; pivot column -> row."""
+def _back_substitute(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced echelon form of forward-eliminated ``pivots``, which are reduced
+    against each other in place; rows are divided by their leading entries
+    only once, at the end."""
+    order = sorted(pivots)
+    for k in range(len(order) - 1, 0, -1):
+        col = order[k]
+        row = pivots[col]
+        for other_col in order[:k]:
+            other = pivots[other_col]
+            if col in other:
+                _eliminate(other, row, col)
+                _make_primitive(other, other_col)
+    return {
+        col: {j: Fraction(c, row[col]) for j, c in row.items()}
+        for col, row in pivots.items()
+    }
+
+
+def forward_pivots(rows):
+    """Integer pivot rows of forward elimination; each row is cleared of
+    denominators first, and the given rows are left as they are."""
     pivots = {}
-    _reduce_forward(rows, pivots)
-    return _back_substitute(pivots)
+    _reduce_forward([_clear_denominators(row) for row in rows], pivots)
+    return pivots
+
+
+def row_reduce(rows):
+    """Oracle: the reduced row echelon form by forward elimination into
+    integer pivot rows, then back-substitution of every pivot row; pivot
+    column -> row."""
+    return _back_substitute(forward_pivots(rows))
+
+
+def kept_row_reduce(rows):
+    """The reduced row echelon form as the completion computes a kept rule:
+    ``_reduce_kept`` on each pivot row alone, divided by its leading entry."""
+    pivots = forward_pivots(rows)
+    reduced = {}
+    for col in pivots:
+        row = _reduce_kept(pivots, col)
+        reduced[col] = {j: Fraction(c, row[col]) for j, c in row.items()}
+    return reduced
 
 
 def fraction_row_reduce(rows):
@@ -241,6 +281,7 @@ def test_row_reduce_agrees_with_dense_oracle(rng):
         sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
         pivots = row_reduce(sparse)
         assert_same_pivots(pivots, fraction_row_reduce(sparse))
+        assert_same_pivots(kept_row_reduce(sparse), pivots)
         assert len(pivots) == len(dense_pivots(rows, width))
         for col, row in pivots.items():
             assert row[col] == 1
@@ -289,6 +330,7 @@ def test_row_reduce_matches_fraction_kernel_on_large_entries(rng):
                         row[j] = Fraction(p, rng.randint(1, 2 ** bits))
             rows.append(row)
         assert_same_pivots(row_reduce(rows), fraction_row_reduce(rows))
+        assert_same_pivots(kept_row_reduce(rows), fraction_row_reduce(rows))
 
 
 def test_row_reduce_matches_fraction_kernel_on_edge_cases():
@@ -305,6 +347,7 @@ def test_row_reduce_matches_fraction_kernel_on_edge_cases():
     ]
     for rows in cases:
         assert_same_pivots(row_reduce(rows), fraction_row_reduce(rows))
+        assert_same_pivots(kept_row_reduce(rows), fraction_row_reduce(rows))
     assert row_reduce([]) == {}
     assert row_reduce([{}, {}]) == {}
     # by hand: the row space is the orthogonal complement of (1/5, 8/5, -8/15, 1)
@@ -463,16 +506,16 @@ def test_hard_lefschetz_validation():
 
 def test_rank_questions_never_back_substitute(monkeypatch):
     """Membership, the criteria and hard Lefschetz only ask for a rank, so
-    forward elimination answers them without a reduced echelon form."""
+    forward elimination answers them without reducing any row further."""
     gr = grassmannian_presentation(2, 2)
     cp2 = projective_space(2)
     cp3 = projective_space(3)
     spheres = product_of_spheres()
 
-    def refuse(pivots):
-        raise AssertionError("back-substitution is not needed for a rank")
+    def refuse(pivots, col):
+        raise AssertionError("reduced rows are not needed for a rank")
 
-    monkeypatch.setattr(flagcoh, "_back_substitute", refuse)
+    monkeypatch.setattr(flagcoh, "_reduce_kept", refuse)
     y1, y2 = gr.ring.gens()
     assert ideal_membership(y1 * y2, [y2], gr)
     assert not ideal_membership(y1 ** 2, [y2], gr)
