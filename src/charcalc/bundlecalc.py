@@ -12,12 +12,12 @@ has a closed form and needs no roots at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, TypeVar
 
 from .exactring import (
     CharcalcError,
+    Frozen,
     GradedPoly,
     GradedRing,
     InvalidInputError,
@@ -53,51 +53,64 @@ class EvaluationModelError(CharcalcError):
 class BundleExpr:
     """Base class for bundle expression nodes."""
 
+    __slots__ = ()
+
     @property
     def rank(self) -> int:
         return _fold(self, _rank)
 
 
-@dataclass(eq=False)
 class Universal(BundleExpr):
     """Universal rank-m bundle; identity of the node identifies the root block."""
 
-    m: int
+    __slots__ = ("m",)
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
+    def __init__(self, m: int) -> None:
+        self.m = m
+        if m < 1:
             raise InvalidInputError("universal bundle rank must be positive")
 
+    def __repr__(self) -> str:
+        return f"Universal(m={self.m!r})"
 
-@dataclass(frozen=True)
-class Trivial(BundleExpr):
-    r: int
 
-    def __post_init__(self) -> None:
-        if self.r < 0:
+class Trivial(Frozen, BundleExpr):
+    __slots__ = _FIELDS = ("r",)
+
+    def __init__(self, r: int) -> None:
+        object.__setattr__(self, "r", r)
+        if r < 0:
             raise InvalidInputError("trivial bundle rank must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Dual(BundleExpr):
-    inner: BundleExpr
+class Dual(Frozen, BundleExpr):
+    __slots__ = _FIELDS = ("inner",)
+
+    def __init__(self, inner: BundleExpr) -> None:
+        object.__setattr__(self, "inner", inner)
 
 
-@dataclass(frozen=True)
-class Sum(BundleExpr):
-    left: BundleExpr
-    right: BundleExpr
+class Sum(Frozen, BundleExpr):
+    __slots__ = _FIELDS = ("left", "right")
+
+    def __init__(self, left: BundleExpr, right: BundleExpr) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Tensor(BundleExpr):
-    left: BundleExpr
-    right: BundleExpr
+class Tensor(Frozen, BundleExpr):
+    __slots__ = _FIELDS = ("left", "right")
+
+    def __init__(self, left: BundleExpr, right: BundleExpr) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Lambda2(BundleExpr):
-    inner: BundleExpr
+class Lambda2(Frozen, BundleExpr):
+    __slots__ = _FIELDS = ("inner",)
+
+    def __init__(self, inner: BundleExpr) -> None:
+        object.__setattr__(self, "inner", inner)
 
 
 def _children(node: BundleExpr) -> tuple[BundleExpr, ...]:

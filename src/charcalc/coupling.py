@@ -11,13 +11,12 @@ mixed classes (the kappa classes in the surface-bundle shape).
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .exactring import (
     CharcalcError,
+    Frozen,
     GradedPoly,
     InvalidInputError,
     RingPresentation,
@@ -39,41 +38,44 @@ class DegeneracyError(CharcalcError):
     """The fiber class is degenerate: its n-th power integrates to zero."""
 
 
-@dataclass(frozen=True)
-class CouplingInput:
+class CouplingInput(Frozen):
     """Total-space data for the coupling construction.
 
     ``section_pullback`` optionally assigns base classes to fiber generators,
     modelling the pullback along a section; base generators are fixed.
+    ``fiber_volume``, the scalar integral of u^n over the fiber, is computed
+    once, here: nondegeneracy is part of the type, so it must be invertible.
     """
 
-    pres: RingPresentation
-    u: GradedPoly
-    n: int
-    section_pullback: Mapping[str, GradedPoly] | None = None
+    _FIELDS = ("pres", "u", "n", "section_pullback")
+    __slots__ = _FIELDS + ("fiber_volume",)
 
-    def __post_init__(self) -> None:
-        if self.pres.fiber_basis is None:
+    def __init__(
+        self,
+        pres: RingPresentation,
+        u: GradedPoly,
+        n: int,
+        section_pullback: Mapping[str, GradedPoly] | None = None,
+    ) -> None:
+        object.__setattr__(self, "pres", pres)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "section_pullback", section_pullback)
+        if pres.fiber_basis is None:
             raise InvalidInputError("coupling needs a presentation with a fiber basis")
-        if self.u.ring != self.pres.ring:
+        if u.ring != pres.ring:
             raise InvalidInputError("u does not live in the presented ring")
-        if self.u.is_zero() or not self.u.is_homogeneous() or self.u.homogeneous_degree() != 2:
+        if u.is_zero() or not u.is_homogeneous() or u.homogeneous_degree() != 2:
             raise InvalidInputError("u must be homogeneous of degree 2")
-        if self.n < 0:
+        if n < 0:
             raise InvalidInputError("fiber dimension must be nonnegative")
-        # nondegeneracy is part of the type: u^n must integrate to a unit
-        self.fiber_volume
-
-    @functools.cached_property
-    def fiber_volume(self) -> Fraction:
-        """The scalar integral of u^n over the fiber; must be invertible."""
-        volume = fiber_integrate(self.u ** self.n, self.pres)
+        volume = fiber_integrate(u ** n, pres)
         constant = volume.constant_term()
         if volume != volume.ring.constant(constant):
             raise DegeneracyError("u^n does not integrate to a scalar")
         if constant == 0:
             raise DegeneracyError("u^n integrates to zero; the fiber class is degenerate")
-        return constant
+        object.__setattr__(self, "fiber_volume", constant)
 
 
 def coupling_class(data: CouplingInput) -> GradedPoly:
@@ -129,20 +131,22 @@ def nu_class(data: CouplingInput, k: int) -> GradedPoly:
     return fiber_integrate(a_pointed ** (data.n + k), data.pres)
 
 
-@dataclass(frozen=True)
-class MixedIndex:
+class MixedIndex(Frozen):
     """Exponent data for a mixed class: coupling power k and vertical exponents."""
 
-    k: int
-    exponents: tuple[int, ...]
-    vertical_classes: tuple[GradedPoly, ...]
+    __slots__ = _FIELDS = ("k", "exponents", "vertical_classes")
 
-    def __post_init__(self) -> None:
-        if self.k < 0:
+    def __init__(
+        self, k: int, exponents: tuple[int, ...], vertical_classes: tuple[GradedPoly, ...]
+    ) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "vertical_classes", vertical_classes)
+        if k < 0:
             raise InvalidInputError("coupling exponent must be nonnegative")
-        if len(self.exponents) != len(self.vertical_classes):
+        if len(exponents) != len(vertical_classes):
             raise InvalidInputError("need one exponent per vertical class")
-        if any(e < 0 for e in self.exponents):
+        if any(e < 0 for e in exponents):
             raise InvalidInputError("exponents must be nonnegative")
 
 

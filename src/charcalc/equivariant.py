@@ -16,12 +16,12 @@ simplex.  Outputs carry this convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exactring import (
     CharcalcError,
+    Frozen,
     GradedPoly,
     GradedRing,
     InvalidInputError,
@@ -46,19 +46,19 @@ class TrivialActionError(CharcalcError):
     """All weights agree, so the induced action on CP^n is trivial."""
 
 
-@dataclass(frozen=True)
-class WeightedCircleAction:
+class WeightedCircleAction(Frozen):
     """Circle acting on CP^n with integer weights (w_0, ..., w_n)."""
 
-    n: int
-    weights: tuple[int, ...]
+    __slots__ = _FIELDS = ("n", "weights")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, weights: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "weights", weights)
+        if n < 1:
             raise InvalidInputError("need n >= 1")
-        if len(self.weights) != self.n + 1:
-            raise InvalidInputError(f"need {self.n + 1} weights, got {len(self.weights)}")
-        if len(set(self.weights)) == 1:
+        if len(weights) != n + 1:
+            raise InvalidInputError(f"need {n + 1} weights, got {len(weights)}")
+        if len(set(weights)) == 1:
             raise TrivialActionError("all weights are equal; the action is trivial")
 
     def mean_weight(self) -> Fraction:

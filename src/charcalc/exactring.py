@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -96,29 +95,72 @@ def format_rational(q: Fraction) -> str:
     return f"{numerator}/{Decimal(q.denominator)}"
 
 
-@dataclass(frozen=True)
-class GradedRing:
+class Frozen:
+    """Base of the immutable value classes.  A subclass lists its fields in
+    ``_FIELDS`` and ``__slots__`` and sets each once in ``__init__`` through
+    ``object.__setattr__``; equality and hash use the tuple of fields, as a
+    frozen dataclass's do, and assignment afterwards raises.  Importing
+    ``dataclasses`` would load ``inspect`` and a dozen more modules on every
+    cold start."""
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GradedRing(Frozen):
     """An ordered list of named generators with positive even degrees.
 
     Generator position fixes the monomial order: lower index means more
     significant in the lexicographic tie-break.
     """
 
-    generators: tuple[str, ...]
-    degrees: tuple[int, ...]
+    __slots__ = _FIELDS = ("generators", "degrees")
 
-    def __post_init__(self) -> None:
-        if len(self.generators) != len(self.degrees):
+    def __init__(self, generators: tuple[str, ...], degrees: tuple[int, ...]) -> None:
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "degrees", degrees)
+        if len(generators) != len(degrees):
             raise InvalidInputError("generator and degree lists differ in length")
-        if len(set(self.generators)) != len(self.generators):
+        if len(set(generators)) != len(generators):
             raise InvalidInputError("generator names must be distinct")
-        for name, degree in zip(self.generators, self.degrees):
+        for name, degree in zip(generators, degrees):
             if not name or not name.replace("_", "").isalnum() or name[0].isdigit():
                 raise InvalidInputError(f"bad generator name {name!r}")
             if degree <= 0 or degree % 2 != 0:
                 raise InvalidInputError(
                     f"generator {name} has degree {degree}; only positive even degrees are supported"
                 )
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not GradedRing:
+            return NotImplemented
+        return self.generators == other.generators and self.degrees == other.degrees
+
+    def __hash__(self) -> int:
+        return hash((self.generators, self.degrees))
 
     @property
     def ngens(self) -> int:
@@ -367,6 +409,14 @@ class GradedPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_ring(other)
+        # by one term: shift the other operand's monomials, in its term order;
+        # distinct monomials stay distinct, so nothing merges or cancels
+        many, one = (other, self) if len(self.terms) == 1 else (self, other)
+        if len(one.terms) == 1:
+            ((t, c0),) = one.terms.items()
+            poly = GradedPoly.__new__(GradedPoly)
+            poly.ring, poly.terms = self.ring, {m * t: c * c0 for m, c in many.terms.items()}
+            return poly
         width = (_max_exponent(self) + _max_exponent(other)).bit_length()
         a, a_den = _pack(self, width)
         b, b_den = _pack(other, width)

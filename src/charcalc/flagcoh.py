@@ -43,12 +43,12 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Mapping, Sequence
 
 from .exactring import (
+    Frozen,
     GradedPoly,
     GradedRing,
     InvalidInputError,
@@ -78,19 +78,19 @@ __all__ = [
 _BUNDLE_BASE_FAMILIES = ("point", "sphere_product", "grassmannian", "flag")
 
 
-@dataclass(frozen=True)
-class FlagSpec:
+class FlagSpec(Frozen):
     """Block sizes (m_1, ..., m_k), weakly decreasing and positive."""
 
-    dims: tuple[int, ...]
+    __slots__ = _FIELDS = ("dims",)
 
-    def __post_init__(self) -> None:
-        if not self.dims:
+    def __init__(self, dims: tuple[int, ...]) -> None:
+        object.__setattr__(self, "dims", dims)
+        if not dims:
             raise InvalidInputError("flag spec needs at least one block")
-        for i, m in enumerate(self.dims):
+        for i, m in enumerate(dims):
             if m < 1:
                 raise InvalidInputError("flag block sizes must be positive")
-            if i and self.dims[i - 1] < m:
+            if i and dims[i - 1] < m:
                 raise InvalidInputError("flag block sizes must be weakly decreasing")
 
     @property
@@ -98,16 +98,16 @@ class FlagSpec:
         return sum(self.dims)
 
 
-@dataclass(frozen=True)
-class SphereProductSpec:
+class SphereProductSpec(Frozen):
     """Even dimensions (2d_1, ..., 2d_r) of a product of spheres."""
 
-    dims: tuple[int, ...]
+    __slots__ = _FIELDS = ("dims",)
 
-    def __post_init__(self) -> None:
-        if not self.dims:
+    def __init__(self, dims: tuple[int, ...]) -> None:
+        object.__setattr__(self, "dims", dims)
+        if not dims:
             raise InvalidInputError("sphere product needs at least one factor")
-        for d in self.dims:
+        for d in dims:
             if d <= 0 or d % 2 != 0:
                 raise InvalidInputError(f"sphere dimension {d} is not a positive even number")
 

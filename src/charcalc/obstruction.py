@@ -9,11 +9,11 @@ answered by the completion's forward elimination alone (``_reduce_forward``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exactring import (
+    Frozen,
     GradedPoly,
     InvalidInputError,
     Monomial,
@@ -33,12 +33,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DegreeBasis:
+class DegreeBasis(Frozen):
     """Ordered basis of normal-form monomials for one degree component."""
 
-    degree: int
-    monomials: tuple[Monomial, ...]
+    __slots__ = _FIELDS = ("degree", "monomials")
+
+    def __init__(self, degree: int, monomials: tuple[Monomial, ...]) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "monomials", monomials)
 
     @property
     def dimension(self) -> int:
@@ -112,8 +114,7 @@ def ideal_membership(
     return len(pivots) == rank
 
 
-@dataclass(frozen=True)
-class ObstructionInput:
+class ObstructionInput(Frozen):
     """Ring of the space, the degree-2 pairing functional, and the test class.
 
     ``alpha_pairing`` assigns a rational to each degree-2 basis monomial (by
@@ -121,16 +122,19 @@ class ObstructionInput:
     nontrivially.
     """
 
-    pres: RingPresentation
-    alpha_pairing: Mapping[str, Fraction | int]
-    c: GradedPoly
+    __slots__ = _FIELDS = ("pres", "alpha_pairing", "c")
 
-    def __post_init__(self) -> None:
-        if self.c.ring != self.pres.ring:
+    def __init__(
+        self, pres: RingPresentation, alpha_pairing: Mapping[str, Fraction | int], c: GradedPoly
+    ) -> None:
+        object.__setattr__(self, "pres", pres)
+        object.__setattr__(self, "alpha_pairing", alpha_pairing)
+        object.__setattr__(self, "c", c)
+        if c.ring != pres.ring:
             raise InvalidInputError("c does not live in the presented ring")
-        if self.c.is_zero() or not self.c.is_homogeneous() or self.c.homogeneous_degree() != 2:
+        if c.is_zero() or not c.is_homogeneous() or c.homogeneous_degree() != 2:
             raise InvalidInputError("c must be homogeneous of degree 2")
-        if not any(Fraction(v) for v in self.alpha_pairing.values()):
+        if not any(Fraction(v) for v in alpha_pairing.values()):
             raise InvalidInputError("the pairing functional is identically zero")
 
     def pairing_value(self, p: GradedPoly) -> Fraction:

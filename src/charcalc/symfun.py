@@ -13,12 +13,12 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .exactring import (
     CharcalcError,
+    Frozen,
     GradedPoly,
     GradedRing,
     InvalidInputError,
@@ -52,18 +52,31 @@ class SymmetryError(CharcalcError):
     """A polynomial claimed to be symmetric is not."""
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing tuple of positive integers; ``()`` is the empty partition."""
+class Partition(Frozen):
+    """Weakly decreasing tuple of positive integers; ``()`` is the empty partition.
+    The hash is computed once, at construction."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts", "_hash")
+    _FIELDS = ("parts",)
 
-    def __post_init__(self) -> None:
-        for i, p in enumerate(self.parts):
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
+        for i, p in enumerate(parts):
             if p <= 0:
                 raise InvalidInputError("partition parts must be positive")
-            if i and self.parts[i - 1] < p:
+            if i and parts[i - 1] < p:
                 raise InvalidInputError("partition parts must be weakly decreasing")
+        object.__setattr__(self, "_hash", hash((parts,)))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Partition:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def of(*parts: int) -> "Partition":
@@ -240,16 +253,16 @@ def _zero_one_count(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class SymExpr:
+class SymExpr(Frozen):
     """A linear combination of monomial symmetric functions in ``v`` variables."""
 
-    coeffs: Mapping[Partition, Fraction]
-    v: int
+    __slots__ = _FIELDS = ("coeffs", "v")
 
-    def __post_init__(self) -> None:
-        for shape in self.coeffs:
-            _check_arity(shape, self.v)
+    def __init__(self, coeffs: Mapping[Partition, Fraction], v: int) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "v", v)
+        for shape in coeffs:
+            _check_arity(shape, v)
 
     def to_elementary(self) -> ElemExpr:
         """The same function in the elementary basis, by leading-term elimination on
@@ -287,12 +300,14 @@ class SymExpr:
         return " + ".join(f"{format_rational(c)}*s{shape}" for shape, c in items)
 
 
-@dataclass(frozen=True)
-class ElemExpr:
+class ElemExpr(Frozen):
     """A polynomial in the abstract elementary symmetric generators."""
 
-    poly: GradedPoly
-    v: int
+    __slots__ = _FIELDS = ("poly", "v")
+
+    def __init__(self, poly: GradedPoly, v: int) -> None:
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "v", v)
 
     def expand(self) -> GradedPoly:
         """Substitute sigma_k by its expansion, recovering the symmetric polynomial."""

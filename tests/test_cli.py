@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import charcalc
-from charcalc import bundlecalc, cli, equivariant, flagcoh, symfun
+from charcalc import bundlecalc, cli, equivariant, flagcoh, paper, symfun
 
 LONG = "9" * 5000
 
@@ -208,6 +208,109 @@ def test_signed_weights(capsys):
     assert json.loads(out)["value"] == "1/4"
 
 
+# Inputs that must exit 2 with a diagnostic naming the flag (README, exit codes);
+# tests/golden/make_cli_corpus.py also records each one's output.
+VALIDATION_CASES = (
+    (("obstruct", "square", "--space", "cpn:"), "--space"),
+    (("obstruct", "square", "--space", "cp2", "--alpha", "c=abc"), "--alpha"),
+    (("obstruct", "square", "--space", "cp2", "--alpha", "c=1/0"), "--alpha"),
+    (("obstruct", "square", "--space", "cp2", "--alpha", "c=0"), "--alpha"),
+    (("obstruct", "square", "--space", "cp2", "--alpha", "zz=1"), "--alpha"),
+    (("obstruct", "square", "--space", "cp2", "--alpha", "=1"), "--alpha"),
+    (("obstruct", "cube", "--space", "gr:2,2", "--alpha", "y2=1"), "--alpha"),
+    (("obstruct", "cube", "--space", "gr:2,2", "--class", "y2"), "--class"),
+    (("obstruct", "square", "--space", "gr:2,2", "--class", "zz"), "--class"),
+    (("obstruct", "hl", "--space", "gr:2,2", "--class", "y1^2"), "--class"),
+    (("obstruct", "square", "--space", "s2xs2", "--alpha", "s1=1", "--class", "s2"),
+     "--class"),
+    (("obstruct", "square", "--space", "cp2", "--alpha", "c=1.5"), "--alpha"),
+    (("obstruct", "square", "--space", "cp2", "--alpha", "c=1e4000000"), "--alpha"),
+    (("obstruct", "square", "--space", "cp²"), "--space"),
+    (("obstruct", "square", "--space", "cp" + LONG), "--space"),
+    (("obstruct", "member", "--space", "gr:2,2", "--z", "zz"), "--z"),
+    (("obstruct", "member", "--space", "gr:2,2", "--z", "y1", "--gens", "y1;zz"), "--gens"),
+    (("mu", "--space", "pcn-bundle", "--base", "s²", "--n", "1", "--k", "2"), "--base"),
+    (("poly", "--gens", "y:2", "--a", "y^²"), "--a"),
+    (("poly", "--gens", "y:2", "--a", "y^" + LONG), "--a"),
+    (("poly", "--gens", "y:2", "--a", "y", "--op", "add", "--b", "zz"), "--b"),
+    (("poly", "--gens", "y:²", "--a", "y"), "--gens"),
+    (("poly", "--gens", "1y:2", "--a", "y"), "--gens"),
+    (("chern", "--expr", "E²", "--k", "1"), "--expr"),
+    (("chern", "--expr", "triv(²)", "--k", "1"), "--expr"),
+    (("chern", "--expr", "E" + LONG, "--k", "1"), "--expr"),
+    (("sym", "--op", "monomial", "--partition", "(²)", "--vars", "3"), "--partition"),
+    (("bundle", "--space", "cp2", "--integrate", "c^²"), "--integrate"),
+    (("bundle", "--space", "cp2", "--normal", "zz"), "--normal"),
+    (("bundle", "--space", "cp2", "--coefficient", "c.", "--basis-element", "c"),
+     "--coefficient"),
+    (("bundle", "--space", "cp2", "--coefficient", "c", "--basis-element", "zz"),
+     "--basis-element"),
+    (("equi", "integral", "--poly", "x1^" + LONG, "--n", "2"), "--poly"),
+    (("chern", "--expr", "E٢", "--k", "1"), "--expr"),
+    (("obstruct", "dims", "--space", "flag:1,2", "--degree", "2"), "--space"),
+    (("obstruct", "dims", "--space", "gr:0,2", "--degree", "2"), "--space"),
+    # integer flags read decimal digits through parse_int, as text does
+    (("equi", "mu", "--n", "٢", "--weights=1,-1,0", "--k", "2"), "--n"),
+    (("equi", "su-product", "--ell", "2", "--k", "+1"), "--k"),
+    (("obstruct", "dims", "--space", "cp2", "--degree=-2"), "--degree"),
+    (("poly", "--gens", "y:2", "--a", "y", "--op", "pow", "--e", "1_0"), "--e"),
+    (("sym", "--op", "monomial", "--partition", "2", "--vars", LONG), "--vars"),
+    # integer lists and partitions read each entry through parse_int too
+    (("flag", "--dims", "٢,1", "--emit", "dims"), "--dims"),
+    (("flag", "--dims", "+2,1", "--emit", "dims"), "--dims"),
+    (("obstruct", "dims", "--space", "gr:٢,2", "--degree", "2"), "--space"),
+    (("poly", "--gens", "y:٢", "--a", "y"), "--gens"),
+    (("sym", "--op", "monomial", "--partition", "٢", "--vars", "2"), "--partition"),
+    (("equi", "mu", "--n", "1", "--weights=-٢,0", "--k", "2"), "--weights"),
+    (("equi", "simplex", "--alpha", "1,-2,0", "--n", "2"), "--alpha"),
+    (("flag", "--inverse-series", "0", "--degree", "1"), "--inverse-series"),
+    (("flag", "--inverse-series", "2", "--degree", "0"), "--degree"),
+    # an empty list entry is an error, not skipped
+    (("flag", "--dims", "2,,1", "--emit", "dims"), "--dims"),
+    (("flag", "--dims", "2,1,", "--emit", "dims"), "--dims"),
+    (("bundle", "--space", "gr:2,,2"), "--space"),
+    (("bundle", "--space", "sphere:2,"), "--space"),
+    (("bundle", "--space", "sphere:"), "--space"),
+    (("equi", "simplex", "--alpha", "1,,2", "--n", "3"), "--alpha"),
+    (("equi", "mu", "--n", "1", "--weights=1,,0", "--k", "2"), "--weights"),
+    # errors raised below the CLI name the flag whose value caused them
+    (("equi", "mu", "--n", "1", "--weights", "1,1", "--k", "2"), "--weights"),
+    (("equi", "mu", "--n", "1", "--weights=", "--k", "2"), "--weights"),
+    (("equi", "nu1", "--n", "2", "--weights", "1,2", "--vertex", "0"), "--weights"),
+    (("equi", "moment", "--n", "1", "--weights", "2,2"), "--weights"),
+    (("equi", "mu", "--n", "0", "--weights", "1", "--k", "2"), "--n"),
+    (("equi", "simplex", "--alpha", "1", "--n", "0"), "--n"),
+    (("equi", "integral", "--poly", "x1", "--n", "0"), "--n"),
+    (("equi", "nu1", "--n", "2", "--weights", "1,2,3", "--vertex", "5"), "--vertex"),
+    (("equi", "su-product", "--ell", "3", "--k", "5"), "--k"),
+    (("equi", "simplex", "--alpha", "1,2,3", "--n", "2"), "--alpha"),
+    (("equi", "mu", "--n", "2", "--weights", "1,2,3", "--k", "0"), "--k"),
+    (("sym", "--op", "elementary", "--k", "3", "--vars", "0"), "--vars"),
+    (("sym", "--op", "monomial", "--partition", "3,2,1", "--vars", "2"), "--partition"),
+    (("chern", "--expr", "sum(E2,E3)", "--k", "2", "--eval", "sphere"), "--expr"),
+    (("chern", "--expr", "E2", "--k", "0", "--eval", "sphere"), "--k"),
+    (("mu", "--space", "pcn-bundle", "--base", "s4", "--n", "0", "--k", "1"), "--base"),
+    (("mu", "--space", "trivial", "--base", "s0", "--n", "1", "--k", "1"), "--base"),
+    (("mu", "--space", "trivial", "--base", "s2", "--n", "1", "--k", "0"), "--k"),
+    (("bundle", "--phi", "0"), "--phi"),
+    (("bundle", "--space", "cp2", "--coefficient", "c", "--basis-element", "c^3"),
+     "--basis-element"),
+    (("obstruct", "member", "--space", "gr:2,2", "--z", "y1+y2", "--gens", "y1"), "--z"),
+    (("obstruct", "member", "--space", "gr:2,2", "--z", "y1", "--gens", "y1+y2"), "--gens"),
+    # the generators are checked even when z reduces to zero
+    (("obstruct", "member", "--space", "gr:2,2", "--z", "0", "--gens", "y1+y2"), "--gens"),
+    (("obstruct", "member", "--space", "gr:2,2", "--z", "y1^5", "--gens", "y1+y2"), "--gens"),
+    # projective space stays within its budget of n <= 10000
+    (("obstruct", "square", "--space", "cp" + "9" * 100), "--space"),
+    (("obstruct", "square", "--space", "cp10001"), "--space"),
+    (("obstruct", "square", "--space", "cpn:10001"), "--space"),
+    # sym conversions stay within their partition weight budget of 16
+    (("sym", "--op", "to-elementary", "--partition", "9,8", "--vars", "2"), "--partition"),
+    (("sym", "--op", "sigma-top", "--partition", "17", "--vars", "1", "--k", "1"),
+     "--partition"),
+)
+
+
 def test_validation_exit_codes(capsys):
     code, _, err = run_cli(capsys, "equi", "mu", "--n", "2", "--weights", "1,-1", "--k", "2")
     assert code == 2
@@ -218,105 +321,7 @@ def test_validation_exit_codes(capsys):
     code, _, err = run_cli(capsys, "flag", "--dims", "1,2", "--emit", "dims")
     assert code == 2
     assert "--dims" in err
-    for argv, flag in (
-        (("obstruct", "square", "--space", "cpn:"), "--space"),
-        (("obstruct", "square", "--space", "cp2", "--alpha", "c=abc"), "--alpha"),
-        (("obstruct", "square", "--space", "cp2", "--alpha", "c=1/0"), "--alpha"),
-        (("obstruct", "square", "--space", "cp2", "--alpha", "c=0"), "--alpha"),
-        (("obstruct", "square", "--space", "cp2", "--alpha", "zz=1"), "--alpha"),
-        (("obstruct", "square", "--space", "cp2", "--alpha", "=1"), "--alpha"),
-        (("obstruct", "cube", "--space", "gr:2,2", "--alpha", "y2=1"), "--alpha"),
-        (("obstruct", "cube", "--space", "gr:2,2", "--class", "y2"), "--class"),
-        (("obstruct", "square", "--space", "gr:2,2", "--class", "zz"), "--class"),
-        (("obstruct", "hl", "--space", "gr:2,2", "--class", "y1^2"), "--class"),
-        (("obstruct", "square", "--space", "s2xs2", "--alpha", "s1=1", "--class", "s2"),
-         "--class"),
-        (("obstruct", "square", "--space", "cp2", "--alpha", "c=1.5"), "--alpha"),
-        (("obstruct", "square", "--space", "cp2", "--alpha", "c=1e4000000"), "--alpha"),
-        (("obstruct", "square", "--space", "cp²"), "--space"),
-        (("obstruct", "square", "--space", "cp" + LONG), "--space"),
-        (("obstruct", "member", "--space", "gr:2,2", "--z", "zz"), "--z"),
-        (("obstruct", "member", "--space", "gr:2,2", "--z", "y1", "--gens", "y1;zz"), "--gens"),
-        (("mu", "--space", "pcn-bundle", "--base", "s²", "--n", "1", "--k", "2"), "--base"),
-        (("poly", "--gens", "y:2", "--a", "y^²"), "--a"),
-        (("poly", "--gens", "y:2", "--a", "y^" + LONG), "--a"),
-        (("poly", "--gens", "y:2", "--a", "y", "--op", "add", "--b", "zz"), "--b"),
-        (("poly", "--gens", "y:²", "--a", "y"), "--gens"),
-        (("poly", "--gens", "1y:2", "--a", "y"), "--gens"),
-        (("chern", "--expr", "E²", "--k", "1"), "--expr"),
-        (("chern", "--expr", "triv(²)", "--k", "1"), "--expr"),
-        (("chern", "--expr", "E" + LONG, "--k", "1"), "--expr"),
-        (("sym", "--op", "monomial", "--partition", "(²)", "--vars", "3"), "--partition"),
-        (("bundle", "--space", "cp2", "--integrate", "c^²"), "--integrate"),
-        (("bundle", "--space", "cp2", "--normal", "zz"), "--normal"),
-        (("bundle", "--space", "cp2", "--coefficient", "c.", "--basis-element", "c"),
-         "--coefficient"),
-        (("bundle", "--space", "cp2", "--coefficient", "c", "--basis-element", "zz"),
-         "--basis-element"),
-        (("equi", "integral", "--poly", "x1^" + LONG, "--n", "2"), "--poly"),
-        (("chern", "--expr", "E٢", "--k", "1"), "--expr"),
-        (("obstruct", "dims", "--space", "flag:1,2", "--degree", "2"), "--space"),
-        (("obstruct", "dims", "--space", "gr:0,2", "--degree", "2"), "--space"),
-        # integer flags read decimal digits through parse_int, as text does
-        (("equi", "mu", "--n", "٢", "--weights=1,-1,0", "--k", "2"), "--n"),
-        (("equi", "su-product", "--ell", "2", "--k", "+1"), "--k"),
-        (("obstruct", "dims", "--space", "cp2", "--degree=-2"), "--degree"),
-        (("poly", "--gens", "y:2", "--a", "y", "--op", "pow", "--e", "1_0"), "--e"),
-        (("sym", "--op", "monomial", "--partition", "2", "--vars", LONG), "--vars"),
-        # integer lists and partitions read each entry through parse_int too
-        (("flag", "--dims", "٢,1", "--emit", "dims"), "--dims"),
-        (("flag", "--dims", "+2,1", "--emit", "dims"), "--dims"),
-        (("obstruct", "dims", "--space", "gr:٢,2", "--degree", "2"), "--space"),
-        (("poly", "--gens", "y:٢", "--a", "y"), "--gens"),
-        (("sym", "--op", "monomial", "--partition", "٢", "--vars", "2"), "--partition"),
-        (("equi", "mu", "--n", "1", "--weights=-٢,0", "--k", "2"), "--weights"),
-        (("equi", "simplex", "--alpha", "1,-2,0", "--n", "2"), "--alpha"),
-        (("flag", "--inverse-series", "0", "--degree", "1"), "--inverse-series"),
-        (("flag", "--inverse-series", "2", "--degree", "0"), "--degree"),
-        # an empty list entry is an error, not skipped
-        (("flag", "--dims", "2,,1", "--emit", "dims"), "--dims"),
-        (("flag", "--dims", "2,1,", "--emit", "dims"), "--dims"),
-        (("bundle", "--space", "gr:2,,2"), "--space"),
-        (("bundle", "--space", "sphere:2,"), "--space"),
-        (("bundle", "--space", "sphere:"), "--space"),
-        (("equi", "simplex", "--alpha", "1,,2", "--n", "3"), "--alpha"),
-        (("equi", "mu", "--n", "1", "--weights=1,,0", "--k", "2"), "--weights"),
-        # errors raised below the CLI name the flag whose value caused them
-        (("equi", "mu", "--n", "1", "--weights", "1,1", "--k", "2"), "--weights"),
-        (("equi", "mu", "--n", "1", "--weights=", "--k", "2"), "--weights"),
-        (("equi", "nu1", "--n", "2", "--weights", "1,2", "--vertex", "0"), "--weights"),
-        (("equi", "moment", "--n", "1", "--weights", "2,2"), "--weights"),
-        (("equi", "mu", "--n", "0", "--weights", "1", "--k", "2"), "--n"),
-        (("equi", "simplex", "--alpha", "1", "--n", "0"), "--n"),
-        (("equi", "integral", "--poly", "x1", "--n", "0"), "--n"),
-        (("equi", "nu1", "--n", "2", "--weights", "1,2,3", "--vertex", "5"), "--vertex"),
-        (("equi", "su-product", "--ell", "3", "--k", "5"), "--k"),
-        (("equi", "simplex", "--alpha", "1,2,3", "--n", "2"), "--alpha"),
-        (("equi", "mu", "--n", "2", "--weights", "1,2,3", "--k", "0"), "--k"),
-        (("sym", "--op", "elementary", "--k", "3", "--vars", "0"), "--vars"),
-        (("sym", "--op", "monomial", "--partition", "3,2,1", "--vars", "2"), "--partition"),
-        (("chern", "--expr", "sum(E2,E3)", "--k", "2", "--eval", "sphere"), "--expr"),
-        (("chern", "--expr", "E2", "--k", "0", "--eval", "sphere"), "--k"),
-        (("mu", "--space", "pcn-bundle", "--base", "s4", "--n", "0", "--k", "1"), "--base"),
-        (("mu", "--space", "trivial", "--base", "s0", "--n", "1", "--k", "1"), "--base"),
-        (("mu", "--space", "trivial", "--base", "s2", "--n", "1", "--k", "0"), "--k"),
-        (("bundle", "--phi", "0"), "--phi"),
-        (("bundle", "--space", "cp2", "--coefficient", "c", "--basis-element", "c^3"),
-         "--basis-element"),
-        (("obstruct", "member", "--space", "gr:2,2", "--z", "y1+y2", "--gens", "y1"), "--z"),
-        (("obstruct", "member", "--space", "gr:2,2", "--z", "y1", "--gens", "y1+y2"), "--gens"),
-        # the generators are checked even when z reduces to zero
-        (("obstruct", "member", "--space", "gr:2,2", "--z", "0", "--gens", "y1+y2"), "--gens"),
-        (("obstruct", "member", "--space", "gr:2,2", "--z", "y1^5", "--gens", "y1+y2"), "--gens"),
-        # projective space stays within its budget of n <= 10000
-        (("obstruct", "square", "--space", "cp" + "9" * 100), "--space"),
-        (("obstruct", "square", "--space", "cp10001"), "--space"),
-        (("obstruct", "square", "--space", "cpn:10001"), "--space"),
-        # sym conversions stay within their partition weight budget of 16
-        (("sym", "--op", "to-elementary", "--partition", "9,8", "--vars", "2"), "--partition"),
-        (("sym", "--op", "sigma-top", "--partition", "17", "--vars", "1", "--k", "1"),
-         "--partition"),
-    ):
+    for argv, flag in VALIDATION_CASES:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert flag in err
@@ -537,6 +542,38 @@ def test_chern_work_budget_edges(capsys, monkeypatch):
     assert (code, json.loads(out)["class"]) == (0, "0")
 
 
+def test_root_variable_budget_edges(capsys, monkeypatch):
+    # a rank-0 tensor factor hides its universal leaves from the rank budget,
+    # so their root variables are counted on their own: 10000 pass, 10001 not
+    def refuse(*_):
+        raise AssertionError("an input over budget reached its computation")
+
+    monkeypatch.setattr(bundlecalc, "root_ring", refuse)
+    monkeypatch.setattr(bundlecalc, "sphere_eval", refuse)
+    for argv in (("tensor(E10001,triv(0))", "--k", "0"),
+                 ("tensor(E10001,triv(0))", "--k", "0", "--emit", "roots"),
+                 ("tensor(sum(E6000,E4001),triv(0))", "--k", "1", "--eval", "sphere"),
+                 ("tensor(E100000,triv(0))", "--k", "0")):
+        code, out, err = run_cli(capsys, "chern", "--expr", *argv)
+        assert (code, out, err) == (
+            2, "", "error: --expr: the universal leaves hold more than 10000 root variables\n"
+        ), argv
+    monkeypatch.undo()
+    rings = []
+    original = bundlecalc.root_ring
+    monkeypatch.setattr(bundlecalc, "root_ring",
+                        lambda expr: rings.append(original(expr)[0].ngens) or original(expr))
+    for argv, want in ((("tensor(E10000,triv(0))", "--k", "0"), {"class": "1", "degree": 0}),
+                       (("tensor(sum(E6000,E4000),triv(0))", "--k", "0", "--emit", "roots"),
+                        {"rank": 0, "roots": []})):
+        code, out, err = run_cli(capsys, "chern", "--expr", *argv)
+        assert (code, json.loads(out)) == (0, want), err
+    assert set(rings) == {10_000}
+    code, out, err = run_cli(capsys, "chern", "--expr", "tensor(E10000,triv(0))", "--k", "1",
+                             "--eval", "sphere")
+    assert (code, out.strip()) == (0, '{"value":"0"}'), err
+
+
 def test_sym_term_budget_rejects_before_any_work(capsys, monkeypatch):
     refuse_sym_builders(monkeypatch)
     for argv in (("elementary", "--k", "3", "--vars", "2000"),
@@ -717,7 +754,7 @@ def test_paper_suite_all_pass(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["failed"] == 0
-    assert report["passed"] == len(report["anchors"]) == len(cli._ANCHORS)
+    assert report["passed"] == len(report["anchors"]) == len(paper._ANCHORS)
     assert all(a["status"] == "pass" for a in report["anchors"])
 
 
@@ -738,3 +775,29 @@ def test_paper_suite_deterministic(capsys):
     _, second, _ = run_cli(capsys, "paper")
     assert first == second
     assert not re.search(r"\d\.\d", first)
+
+
+def test_cli_import_is_lean_and_only_paper_loads_the_anchors():
+    # dataclasses and inspect would add a dozen modules to every cold start;
+    # the anchor battery is compiled only when paper runs
+    script = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import charcalc.cli as cli
+loaded = set(sys.modules) - before
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(argv) for argv in (["equi", "mu", "--n", "2", "--weights", "1,-1,0", "--k", "2"],
+                                        ["chern", "--expr", "lambda2(E4)", "--k", "2"],
+                                        ["obstruct", "hl", "--space", "gr:2,2", "--class", "y1"])]
+    before_paper = "charcalc.paper" in sys.modules
+    codes.append(cli.run(["paper"]))
+print(json.dumps({"heavy": sorted(loaded & {"dataclasses", "inspect", "charcalc.paper"}),
+                  "codes": codes, "before_paper": before_paper,
+                  "after_paper": "charcalc.paper" in sys.modules}))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(charcalc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"heavy": [], "codes": [0, 0, 0, 0],
+                                       "before_paper": False, "after_paper": True}

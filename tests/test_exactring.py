@@ -528,6 +528,33 @@ def test_packed_kernel_on_zero_and_constants(xy):
     assert (c**13).terms == {Monomial.one(): Fraction(-3, 2) ** 13}
 
 
+def test_single_term_products_skip_packing(xy, monkeypatch):
+    # a product by one term shifts the other operand's monomials in its term
+    # order, on either side, with coefficient 1 or not, and never packs
+    x, y = xy.gen(0), xy.gen(1)
+    p = x**2 * Fraction(1, 3) - x * y + y**3 * 2 + xy.constant(5)
+    singles = [xy.one(), x, y**2 * Fraction(-3, 4), xy.constant(7), x * y * Fraction(2)]
+
+    def refuse(*_):
+        raise AssertionError("a single-term product was packed")
+
+    monkeypatch.setattr(exactring, "_pack", refuse)
+    for t in singles:
+        for left, right in [(p, t), (t, p), (t, t), (xy.zero(), t), (t, xy.zero())]:
+            assert_same_terms(left * right, fraction_mul(left, right))
+    assert list((p * x).terms) == [m * Monomial.of(0) for m in p.terms]
+    assert list((x * p).terms) == list((p * x).terms)
+    monkeypatch.undo()
+    for space in KERNEL_SPACES:
+        ring = _parse_space(space).ring
+        rng = random.Random(f"single term {space}")
+        for _ in range(10):
+            p = random_poly(ring, rng, max_terms=6, max_exponent=4)
+            t = random_poly(ring, rng, max_terms=1, max_exponent=4)
+            assert_same_terms(p * t, fraction_mul(p, t))
+            assert_same_terms(t * p, fraction_mul(t, p))
+
+
 @pytest.mark.parametrize("width", range(1, 7))
 @pytest.mark.parametrize("over", [-1, 0])
 def test_packed_fields_do_not_carry(width, over):
