@@ -53,11 +53,9 @@ class SymmetryError(CharcalcError):
 
 
 class Partition(Frozen):
-    """Weakly decreasing tuple of positive integers; ``()`` is the empty partition.
-    The hash is computed once, at construction."""
+    """Weakly decreasing tuple of positive integers; ``()`` is the empty partition."""
 
-    __slots__ = ("parts", "_hash")
-    _FIELDS = ("parts",)
+    __slots__ = _FIELDS = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]) -> None:
         object.__setattr__(self, "parts", parts)
@@ -66,7 +64,6 @@ class Partition(Frozen):
                 raise InvalidInputError("partition parts must be positive")
             if i and parts[i - 1] < p:
                 raise InvalidInputError("partition parts must be weakly decreasing")
-        object.__setattr__(self, "_hash", hash((parts,)))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -76,7 +73,7 @@ class Partition(Frozen):
         return self.parts == other.parts
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.parts,))
 
     @staticmethod
     def of(*parts: int) -> "Partition":
