@@ -7,6 +7,12 @@ rewrite rules oriented along a graded lexicographic order; presentations may
 designate a Leray-Hirsch fiber basis, which is what turns coefficient
 extraction into fiber integration downstream.
 
+Products, powers and normal forms run on packed monomials: one int with a
+field per generator, and integer numerators over one denominator.  Each
+presentation rewrites on such keys, with a guard bit atop every field for the
+divisibility test, and hands integer rows of ``NF(p*m)`` to the rank
+questions; ``Fraction``s and ``Monomial``s appear only in results.
+
 No floating point enters anywhere: coefficients are arbitrary-precision
 rationals, reduced and with positive denominator by construction.
 """
@@ -31,7 +37,7 @@ __all__ = [
     "Monomial",
     "GradedPoly",
     "RingPresentation",
-    "RuleIndex",
+    "HeadIndex",
     "poly_arith",
     "poly_pow",
     "graded_component",
@@ -374,11 +380,6 @@ class GradedPoly:
         items.sort(key=lambda item: item[0].degree(self.ring))
         return items
 
-    def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise InvalidInputError("zero polynomial has no leading monomial")
-        return max(self.terms, key=lambda m: m.order_key(self.ring))
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_ring(self, other: "GradedPoly") -> None:
@@ -396,7 +397,10 @@ class GradedPoly:
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         self._check_ring(other)
         out = dict(self.terms)
-        _add_scaled(out, other.terms)
+        get = out.get
+        for m, c in other.terms.items():
+            prev = get(m)
+            out[m] = c if prev is None else prev + c
         return GradedPoly._wrap(self.ring, out)
 
     def __neg__(self) -> "GradedPoly":
@@ -556,18 +560,6 @@ def _unpack(ring: GradedRing, packed: dict[int, int], den: int, width: int) -> G
     return poly
 
 
-def _add_scaled(out: dict[Monomial, Fraction], terms: Mapping[Monomial, Fraction],
-                factor: Fraction | None = None) -> None:
-    """``out += factor * terms`` in place (``factor`` None means one); zero
-    entries stay until the result is wrapped."""
-    get = out.get
-    for m, c in terms.items():
-        if factor is not None:
-            c = c * factor
-        prev = get(m)
-        out[m] = c if prev is None else prev + c
-
-
 def poly_arith(a: GradedPoly, b: GradedPoly, op: str) -> GradedPoly:
     """Ring arithmetic with explicit operation name (`add` or `mul`)."""
     if op == "add":
@@ -618,30 +610,41 @@ def monomials_of_degree(ring: GradedRing, degree: int) -> list[Monomial]:
     return results
 
 
-class RuleIndex:
-    """Rule heads keyed by their support, so a divisibility query only tests
-    heads whose generators all occur in the monomial.
+# Rewriting keys put ``width`` value bits under a guard bit no key sets, so
+# with G the guard bits, h divides m when ((m | G) - h) & G == G and m / h is
+# m - h (Monagan and Pearce, CASC 2007).  A field too narrow for an exponent
+# a key reaches makes both wrong.
+
+
+class HeadIndex:
+    """Packed rule heads keyed by their support, so a divisibility query only
+    tests heads whose generators all occur in the key.
 
     ``find`` answers what a scan of the heads in insertion order would: the
-    first head that divides the monomial, or None.
+    first head that divides the key, or None.
     """
 
-    def __init__(self, heads: Iterable[Monomial] = ()):
-        self._by_support: dict[int, list[tuple[int, Monomial]]] = {}
+    def __init__(self, ngens: int, width: int):
+        self.width = width
+        self.shifts = tuple(i * (width + 1) for i in range(ngens))
+        self.ones = sum(1 << shift for shift in self.shifts)
+        self.guards = self.ones << width
+        self._by_support: dict[int, list[tuple[int, int]]] = {}
         self._count = 0
-        for head in heads:
-            self.add(head)
 
-    def add(self, head: Monomial) -> None:
-        support = sum(1 << i for i, _ in head.exps)
+    def key(self, monomial: Monomial) -> int:
+        shifts = self.shifts
+        return sum(e << shifts[i] for i, e in monomial.exps)
+
+    def add(self, head: int) -> None:
+        support = ((head | self.guards) - self.ones) & self.guards
         self._by_support.setdefault(support, []).append((self._count, head))
         self._count += 1
 
-    def find(self, monomial: Monomial) -> Monomial | None:
-        exps = dict(monomial.exps)
-        support = 0
-        for i in exps:
-            support |= 1 << i
+    def find(self, key: int) -> int | None:
+        guards = self.guards
+        high = key | guards
+        support = (high - self.ones) & guards
         first, found = self._count, None
         for head_support, heads in self._by_support.items():
             if head_support & ~support:
@@ -649,13 +652,102 @@ class RuleIndex:
             for position, head in heads:
                 if position >= first:
                     break
-                for i, e in head.exps:
-                    if exps[i] < e:
-                        break
-                else:
+                if (high - head) & guards == guards:
                     first, found = position, head
                     break
         return found
+
+
+class _Rewriter:
+    """The packed rewriting kernel of one presentation.
+
+    Rewriting keeps the degree, so a key of degree at most ``capacity`` never
+    reaches an exponent its field cannot hold.  Right-hand sides are cleared
+    of denominators once; ``cache`` maps a key to its normal form as integer
+    numerators by output key over one positive denominator, and ``monomials``
+    turns output keys back into ``Monomial``s.
+    """
+
+    def __init__(self, pres: "RingPresentation", degree: int):
+        ring = pres.ring
+        low = min(ring.degrees, default=2)
+        self.heads = heads = HeadIndex(ring.ngens, max(degree // low, 1).bit_length())
+        self.capacity = (low << heads.width) - 1
+        self.stride = heads.width + 1
+        self.ring = ring
+        self.rules = {heads.key(lhs): _pack(rhs, self.stride) for lhs, rhs in pres.rules.items()}
+        for head in self.rules:
+            heads.add(head)
+        self.cache: dict[int, tuple[dict[int, int], int]] = {}
+        self.monomials: dict[int, Monomial] = {}
+
+    def combine(
+        self, pairs: Iterable[tuple[int, int]], budget: list[int] | None = None
+    ) -> tuple[dict[int, int], int]:
+        """``sum(n * NF(key))`` over ``pairs``, as integer numerators by output
+        key over one positive denominator.  One ``budget`` of rule applications,
+        ``REWRITE_LIMIT`` unless given, covers every key."""
+        pairs = list(pairs)
+        if budget is None:
+            budget = [REWRITE_LIMIT]
+        cache = self.cache
+        parts = [cache.get(key) or self._reduce(key, budget) for key, _ in pairs]
+        den = math.lcm(*[d for _, d in parts])
+        acc: dict[int, int] = {}
+        get = acc.get
+        for (_, n), (terms, d) in zip(pairs, parts):
+            if d != den:
+                n *= den // d
+            for key, t in terms.items():
+                acc[key] = get(key, 0) + n * t
+        return {key: t for key, t in acc.items() if t}, den
+
+    def _reduce(self, key: int, budget: list[int]) -> tuple[dict[int, int], int]:
+        cache, find, rules = self.cache, self.heads.find, self.rules
+        stack = [key]
+        while stack:
+            m = stack[-1]
+            if m in cache:
+                stack.pop()
+                continue
+            head = find(m)
+            if head is None:
+                cache[m] = ({m: 1}, 1)
+                stack.pop()
+                continue
+            rhs, rhs_den = rules[head]
+            quotient = m - head
+            children = [(quotient + k, n) for k, n in rhs.items()]
+            # charged before the children are reduced, so a cycle runs it out
+            budget[0] -= 1 + len(children)
+            if budget[0] < 0:
+                raise PresentationError(
+                    f"rewriting exceeded {REWRITE_LIMIT} applications; rule set treated as non-terminating"
+                )
+            missing = [c for c, _ in children if c not in cache]
+            if missing:
+                stack.extend(missing)
+                continue
+            terms, den = self.combine(children, budget)
+            den *= rhs_den
+            if den != 1 and (g := math.gcd(den, *terms.values())) != 1:
+                terms, den = {k: t // g for k, t in terms.items()}, den // g
+            cache[m] = (terms, den)
+            stack.pop()
+        return cache[key]
+
+    def poly(self, terms: dict[int, int], den: int) -> GradedPoly:
+        """The polynomial of ``terms`` over ``den``; unseen keys are unpacked once."""
+        memo = self.monomials
+        if new := {key: 1 for key in terms if key not in memo}:
+            memo.update(zip(new, _unpack(self.ring, new, 1, self.stride).terms))
+        poly = GradedPoly.__new__(GradedPoly)
+        poly.ring = self.ring
+        if den == 1:
+            poly.terms = {memo[key]: Fraction(n) for key, n in terms.items()}
+        else:
+            poly.terms = {memo[key]: Fraction(n, den) for key, n in terms.items()}
+        return poly
 
 
 class RingPresentation:
@@ -670,8 +762,9 @@ class RingPresentation:
     present, lists every monomial no rule divides, by ascending degree and
     largest first within a degree; ``basis_by_degree`` groups it by degree.
 
-    Instances are immutable after construction apart from an internal cache
-    of monomial normal forms.
+    Instances are immutable after construction apart from the packed
+    rewriting kernel and its cache of monomial normal forms, built on first
+    use.
     """
 
     def __init__(
@@ -689,8 +782,7 @@ class RingPresentation:
         self.relations = tuple(relations)
         self.family = family
         self.top_degree = top_degree
-        self._nf_cache: dict[Monomial, GradedPoly] = {}
-        self._heads = RuleIndex(self.rules)
+        self._kernel: _Rewriter | None = None
         self.basis = None if basis is None else tuple(basis)
         self.basis_by_degree: dict[int, tuple[Monomial, ...]] = {}
         for degree, group in itertools.groupby(self.basis or (), lambda m: m.degree(ring)):
@@ -721,9 +813,9 @@ class RingPresentation:
                 raise PresentationError("fiber basis must start with b_0 = 1")
             if len(set(basis)) != len(basis):
                 raise PresentationError("fiber basis has repeated elements")
-            for b in basis:
-                if self._find_rule(b) is not None:
-                    raise PresentationError("fiber basis element is reducible")
+            heads = self._rewriter(max(b.degree(ring) for b in basis)).heads
+            if any(heads.find(heads.key(b)) is not None for b in basis):
+                raise PresentationError("fiber basis element is reducible")
             self.fiber_basis: tuple[Monomial, ...] | None = basis
             support: set[int] = set()
             for b in basis:
@@ -735,52 +827,22 @@ class RingPresentation:
 
     # -- rewriting -----------------------------------------------------------
 
-    def _find_rule(self, monomial: Monomial) -> Monomial | None:
-        return self._heads.find(monomial)
-
-    def is_reducible(self, monomial: Monomial) -> bool:
-        return self._find_rule(monomial) is not None
+    def _rewriter(self, degree: int) -> _Rewriter:
+        """The packed kernel, built on first use and rebuilt with wider fields
+        when ``degree`` exceeds what its fields hold."""
+        kernel = self._kernel
+        if kernel is None or degree > kernel.capacity:
+            top = max((lhs.degree(self.ring) for lhs in self.rules), default=0)
+            kernel = self._kernel = _Rewriter(self, max(degree, top))
+        return kernel
 
     def normal_form(self, p: GradedPoly) -> GradedPoly:
         if p.ring != self.ring:
             raise RingMismatchError("polynomial is not in the presented ring")
-        budget = [REWRITE_LIMIT]
-        out: dict[Monomial, Fraction] = {}
-        for monomial, coeff in p.terms.items():
-            _add_scaled(out, self._monomial_nf(monomial, budget).terms, coeff)
-        return GradedPoly._wrap(self.ring, out)
-
-    def _monomial_nf(self, monomial: Monomial, budget: list[int]) -> GradedPoly:
-        cache = self._nf_cache
-        stack = [monomial]
-        while stack:
-            m = stack[-1]
-            if m in cache:
-                stack.pop()
-                continue
-            lhs = self._find_rule(m)
-            if lhs is None:
-                cache[m] = GradedPoly._wrap(self.ring, {m: Fraction(1)})
-                stack.pop()
-                continue
-            quotient = m / lhs
-            rhs = self.rules[lhs]
-            children = [quotient * m2 for m2 in rhs.terms]
-            missing = [c for c in children if c not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-            budget[0] -= 1 + len(children)
-            if budget[0] < 0:
-                raise PresentationError(
-                    f"rewriting exceeded {REWRITE_LIMIT} applications; rule set treated as non-terminating"
-                )
-            acc: dict[Monomial, Fraction] = {}
-            for child, c2 in zip(children, rhs.terms.values()):
-                _add_scaled(acc, cache[child].terms, c2)
-            cache[m] = GradedPoly._wrap(self.ring, acc)
-            stack.pop()
-        return cache[monomial]
+        kernel = self._rewriter(p.degree())
+        packed, den = _pack(p, kernel.stride)
+        terms, nf_den = kernel.combine(packed.items())
+        return kernel.poly(terms, den * nf_den)
 
     # -- Leray-Hirsch decomposition -------------------------------------------
 

@@ -14,7 +14,9 @@ is a terminating, confluent system on the finitely many degrees that matter
 (everything above the top degree reduces to zero), without any general-purpose
 Groebner machinery.  Each relation is cleared of denominators once, and the
 elimination runs over the integers, fraction-free; only the rules become
-``Fraction`` polynomials.
+``Fraction`` polynomials.  Monomials are packed keys, as in ``exactring``, so
+the column of ``m*t`` in a row is ``index[key(m) + key(t)]``, and the rule
+heads found so far sit in a ``HeadIndex`` on the same keys.
 
 Not every multiple is eliminated.  Rows enter in relation order, and the
 multiple ``m*r_i`` is left out when ``m`` is a leading monomial of the span
@@ -44,18 +46,17 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from operator import add
 from typing import Mapping, Sequence
 
 from .exactring import (
     Frozen,
     GradedPoly,
     GradedRing,
+    HeadIndex,
     InvalidInputError,
     Monomial,
     PresentationError,
     RingPresentation,
-    RuleIndex,
     monomials_of_degree,
 )
 
@@ -225,27 +226,28 @@ def _rref_rules(
     max_gen = max(ring.degrees) if ring.degrees else 0
     limit = top_degree + max_gen
     rules: dict[Monomial, GradedPoly] = {}
-    heads = RuleIndex()
+    heads = HeadIndex(ring.ngens, (limit // min(ring.degrees)).bit_length())
+    pack = heads.key
     rel_degrees = [r.homogeneous_degree() for r in relations]
     rel_terms = [
-        [(m.dense(ring), c) for m, c in _clear_denominators(r.terms).items()] for r in relations
+        [(pack(m), c) for m, c in _clear_denominators(r.terms).items()] for r in relations
     ]
     max_rel_degree = max(rel_degrees)
-    # degree -> dense exponent vectors of its monomials, kept while the
-    # degree can still be a multiplier degree
-    vectors: dict[int, list[tuple[int, ...]]] = {}
+    # degree -> packed keys of its monomials, kept while the degree can still
+    # be a multiplier degree
+    vectors: dict[int, list[int]] = {}
     # degree -> column of a leading monomial of the span -> index of the
     # relation whose rows first produced it
     introduced: dict[int, dict[int, int]] = {}
 
     for degree in range(0, limit + 1, 2):
         columns = monomials_of_degree(ring, degree)
-        vectors[degree] = dense = [m.dense(ring) for m in columns]
+        vectors[degree] = keys = [pack(m) for m in columns]
         vectors.pop(degree - max_rel_degree - 2, None)
         introduced.pop(degree - max_rel_degree - 2, None)
         if not columns:
             continue
-        index = {e: j for j, e in enumerate(dense)}
+        index = {key: j for j, key in enumerate(keys)}
         pivots: dict[int, dict[int, int]] = {}
         leads: dict[int, int] = {}
         for i, (rel_degree, terms) in enumerate(zip(rel_degrees, rel_terms)):
@@ -253,7 +255,7 @@ def _rref_rules(
                 continue
             earlier = introduced.get(degree - rel_degree, {})
             rows = [
-                {index[tuple(map(add, multiplier, t))]: c for t, c in terms}
+                {index[multiplier + t]: c for t, c in terms}
                 for j, multiplier in enumerate(vectors[degree - rel_degree])
                 if earlier.get(j, i) >= i
             ]
@@ -270,7 +272,7 @@ def _rref_rules(
             basis.extend(m for j, m in enumerate(columns) if j not in pivots)
         for col in sorted(pivots):
             lhs = columns[col]
-            if heads.find(lhs) is not None:
+            if heads.find(keys[col]) is not None:
                 continue
             rhs: dict[Monomial, Fraction] = {}
             if degree <= top_degree:  # above it the reduced form is the identity
@@ -278,7 +280,7 @@ def _rref_rules(
                 lead = row.pop(col)
                 rhs = {columns[j]: Fraction(-c, lead) for j, c in sorted(row.items())}
             rules[lhs] = GradedPoly(ring, rhs)
-            heads.add(lhs)
+            heads.add(keys[col])
     return rules
 
 

@@ -18,6 +18,7 @@ from .exactring import (
     InvalidInputError,
     Monomial,
     RingPresentation,
+    _pack,
 )
 from .flagcoh import _clear_denominators, _reduce_forward, basis_monomials
 
@@ -67,11 +68,24 @@ def _product_rows(
     monomials: Sequence[Monomial],
     index: Mapping[Monomial, int],
 ) -> list[dict[int, int]]:
-    """Integer rows of ``normal_form(p*m)``, one for each monomial ``m``."""
-    return [
-        _sparse_row(pres.normal_form(p * GradedPoly(pres.ring, {m: Fraction(1)})), index)
-        for m in monomials
-    ]
+    """Integer rows of ``normal_form(p*m)``, one for each monomial ``m``, each
+    up to a positive factor: elimination makes rows primitive and only ranks
+    are read.  The presentation's packed kernel reduces the keys of ``p``'s
+    terms shifted by the key of ``m``, so no product polynomial is built."""
+    ring = pres.ring
+    degree = p.degree() + max((m.degree(ring) for m in monomials), default=0)
+    kernel = pres._rewriter(max(degree, max((m.degree(ring) for m in index), default=0)))
+    terms = _pack(p, kernel.stride)[0].items()
+    key = kernel.heads.key
+    columns = {key(m): j for m, j in index.items()}
+    rows = []
+    for shift in map(key, monomials):
+        row, _ = kernel.combine((k + shift, n) for k, n in terms)
+        try:
+            rows.append({columns[k]: c for k, c in row.items()})
+        except KeyError:
+            raise InvalidInputError("polynomial leaves the expected degree component") from None
+    return rows
 
 
 def ideal_membership(

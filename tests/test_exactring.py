@@ -13,12 +13,12 @@ from charcalc.exactring import (
     BasisError,
     GradedPoly,
     GradedRing,
+    HeadIndex,
     InvalidInputError,
     Monomial,
     PresentationError,
     RingMismatchError,
     RingPresentation,
-    RuleIndex,
     fiber_coefficient,
     format_rational,
     graded_component,
@@ -30,9 +30,15 @@ from charcalc.exactring import (
     poly_pow,
 )
 
-from charcalc.flagcoh import basis_monomials
+from charcalc.flagcoh import basis_monomials, grassmannian_presentation, projective_bundle
 
-from conftest import enumerated_basis, evaluate, random_poly
+from conftest import (
+    enumerated_basis,
+    evaluate,
+    fraction_rule_presentation,
+    monomial_normal_form,
+    random_poly,
+)
 
 
 @pytest.fixture
@@ -212,7 +218,7 @@ def test_monomials_of_degree_matches_sorted_enumeration(degrees, degree):
 
 
 def linear_rule_scan(heads, monomial):
-    """Oracle for ``RuleIndex.find``: the first head, in order, dividing ``monomial``."""
+    """Oracle for ``HeadIndex.find``: the first head, in order, dividing ``monomial``."""
     for head in heads:
         if head.divides(monomial):
             return head
@@ -229,10 +235,13 @@ def test_rule_index_matches_linear_scan(seed):
         return Monomial.make({i: rng.randint(0, top) for i in range(ngens)})
 
     heads = list(dict.fromkeys(m for m in (monomial(3) for _ in range(12)) if not m.is_one()))
-    index = RuleIndex(heads)
+    index = HeadIndex(ngens, (5).bit_length())
+    for head in heads:
+        index.add(index.key(head))
     for _ in range(40):
         m = monomial(5)
-        assert index.find(m) == linear_rule_scan(heads, m)
+        want = linear_rule_scan(heads, m)
+        assert index.find(index.key(m)) == (None if want is None else index.key(want))
 
 
 def test_canonical_encoding_golden():
@@ -422,6 +431,91 @@ def test_rewrite_limit_still_bounds_rewriting(monkeypatch):
     monkeypatch.setattr(exactring, "REWRITE_LIMIT", 3)
     with pytest.raises(PresentationError, match="exceeded 3 applications"):
         normal_form(p, RingPresentation(pres.ring, pres.rules))
+
+
+# -- the packed rewriting kernel against the Monomial-keyed oracle ---------------
+
+
+def presentation_family(name):
+    """``pgr:m,k`` is P(E) over gr(m, k) with c_i(E) the i-th generator,
+    ``fractions`` has rules with Fraction coefficients, and every other name
+    is a CLI space."""
+    if name == "fractions":
+        return fraction_rule_presentation()
+    if name.startswith("pgr:"):
+        m, k = map(int, name[4:].split(","))
+        base = grassmannian_presentation(m, k)
+        return projective_bundle(base, base.ring.gens(), k - 1)
+    return _parse_space(name)
+
+
+NF_FAMILIES = [
+    "gr:3,3", "gr:2,4", "flag:3,2,1", "flag:2,1,1", "cp4", "pe:2,2", "pe:3,1",
+    "pgr:2,2", "pgr:2,3", "sphere:2,2,4", "sphere:2,2,2,2", "fractions",
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(NF_FAMILIES), st.integers(0, 10**6))
+def test_packed_normal_form_matches_monomial_oracle(name, seed):
+    """On every family, with the presentation's warm kernel and with a fresh
+    one, the packed normal form is the oracle's, with Fraction coefficients."""
+    pres = presentation_family(name)
+    rng = random.Random(seed)
+    p = random_poly(pres.ring, rng, max_terms=6, max_exponent=rng.randint(1, 5))
+    want = monomial_normal_form(pres, p)
+    for target in (pres, RingPresentation(pres.ring, pres.rules)):
+        got = target.normal_form(p)
+        assert got == want
+        assert all(type(m) is Monomial for m in got.terms)
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+def test_kernel_widens_for_inputs_above_its_fields():
+    """A key may only hold exponents its fields fit: an input of a degree
+    above the kernel's capacity rebuilds it with wider fields."""
+    base = grassmannian_presentation(2, 2)
+    pres = RingPresentation(base.ring, base.rules)
+    y1 = pres.ring.gen(0)
+    square = pres.normal_form(y1 * y1)
+    first = pres._rewriter(0)
+    assert 400 > first.capacity
+    assert pres.normal_form(y1 ** 200) == monomial_normal_form(pres, y1 ** 200) == pres.ring.zero()
+    assert pres._rewriter(0) is not first and pres._rewriter(0).capacity >= 400
+    assert pres.normal_form(y1 * y1) == square
+
+
+def test_kernel_sizes_fields_by_degree_not_input_exponents():
+    """``y -> x^2`` has a larger exponent on the right than on the left, so
+    ``y^3`` fits the fields its rule needs, yet its normal form ``x^6`` does not."""
+    ring = GradedRing(("y", "x"), (4, 2))
+    pres = RingPresentation(ring, {Monomial.of(0): ring.gen(1) ** 2})
+    assert pres._rewriter(0).capacity < 12
+    assert pres.normal_form(ring.gen(0) ** 3) == ring.gen(1) ** 6
+    for e in range(1, 40):
+        p = ring.gen(0) ** e + ring.gen(1).scale(Fraction(1, 3)) * ring.gen(0) ** (e // 2)
+        assert pres.normal_form(p) == monomial_normal_form(pres, p)
+
+
+def test_fraction_rules_take_the_denominator_path():
+    pres = fraction_rule_presentation()
+    x = pres.ring.gen(0)
+    got = pres.normal_form(x ** 3)
+    assert got == monomial_normal_form(pres, x ** 3)
+    assert any(c.denominator > 1 for c in got.terms.values())
+    cache = pres._rewriter(0).cache
+    assert any(den > 1 for _, den in cache.values())
+
+
+def test_rewrite_limit_stops_a_cycle(monkeypatch):
+    """A rule set that is not terminating runs out of rule applications."""
+    ring = GradedRing(("x", "y"), (2, 2))
+    x, y = ring.gens()
+    pres = RingPresentation(ring, {Monomial.of(0, 2): y * y})
+    pres.rules[Monomial.of(1, 2)] = x * x  # undoes the first rule
+    monkeypatch.setattr(exactring, "REWRITE_LIMIT", 1000)
+    with pytest.raises(PresentationError, match="exceeded 1000 applications"):
+        pres.normal_form(x * x)
 
 
 @pytest.mark.parametrize("space", ["gr:3,3", "flag:3,2,1", "pe:2,2", "sphere:2,4"])

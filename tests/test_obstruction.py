@@ -8,6 +8,7 @@ from charcalc.exactring import (
     monomials_of_degree,
 )
 from charcalc import flagcoh
+from charcalc.cli import _parse_space
 from charcalc.flagcoh import (
     _clear_denominators,
     _eliminate,
@@ -22,6 +23,8 @@ from charcalc.flagcoh import (
 )
 from charcalc.obstruction import (
     ObstructionInput,
+    _product_rows,
+    _sparse_row,
     degree_basis,
     hard_lefschetz_check,
     ideal_membership,
@@ -29,6 +32,8 @@ from charcalc.obstruction import (
     whitehead_cube_criterion,
     whitehead_square_criterion,
 )
+
+from conftest import enumerated_basis, fraction_rule_presentation, is_reducible
 
 
 def projective_space(n):
@@ -219,7 +224,7 @@ def brute_force_membership(z, gens, pres):
         return True
     d = reduced.homogeneous_degree()
     columns = [
-        m for m in monomials_of_degree(pres.ring, d) if not pres.is_reducible(m)
+        m for m in monomials_of_degree(pres.ring, d) if not is_reducible(pres, m)
     ]
     index = {m: j for j, m in enumerate(columns)}
 
@@ -496,6 +501,32 @@ def test_hard_lefschetz_matches_expanded_powers(rng):
             if a.is_zero():
                 continue
             assert hard_lefschetz_check(pres, a, n) == expanded_hard_lefschetz(pres, a, n)
+
+
+@pytest.mark.parametrize("space", ["gr:3,3", "flag:2,1,1", "pe:2,2", "sphere:2,2,4", "fractions"])
+def test_product_rows_are_positive_multiples_of_normal_form_rows(space, rng):
+    """Each packed row is a positive multiple of the coordinates of
+    ``normal_form(p*m)`` cleared of denominators."""
+    pres = fraction_rule_presentation() if space == "fractions" else _parse_space(space)
+    for e in (2, 4):
+        for d in range(e, e + 8, 2):
+            multipliers = enumerated_basis(pres, d - e)
+            index = {m: j for j, m in enumerate(enumerated_basis(pres, d))}
+            for _ in range(3):
+                p = pres.normal_form(GradedPoly(pres.ring, {
+                    m: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    for m in enumerated_basis(pres, e)
+                }))
+                rows = _product_rows(pres, p, multipliers, index)
+                assert len(rows) == len(multipliers)
+                for m, row in zip(multipliers, rows):
+                    want = _sparse_row(pres.normal_form(p * GradedPoly(pres.ring, {m: 1})), index)
+                    assert row.keys() == want.keys()
+                    if want:
+                        j = next(iter(want))
+                        scale = Fraction(row[j], want[j])
+                        assert scale > 0
+                        assert all(row[k] == scale * c for k, c in want.items())
 
 
 def test_hard_lefschetz_validation():

@@ -280,6 +280,13 @@ def test_elem_expr_encoding():
 # -- the partition-indexed elimination against the v-variable loop ------------
 
 
+def leading_monomial(p: GradedPoly) -> Monomial:
+    """The largest monomial of ``p`` in graded lex."""
+    if not p.terms:
+        raise InvalidInputError("zero polynomial has no leading monomial")
+    return max(p.terms, key=lambda m: m.order_key(p.ring))
+
+
 def old_to_elementary(p: GradedPoly, v: int) -> ElemExpr:
     """The former implementation, kept as the oracle: the same leading-term
     elimination, through products of elementary polynomials in v variables."""
@@ -292,7 +299,7 @@ def old_to_elementary(p: GradedPoly, v: int) -> ElemExpr:
     out = sigma.zero()
     work = p
     while not work.is_zero():
-        lead = work.leading_monomial()
+        lead = leading_monomial(work)
         coeff = work.coefficient(lead)
         shape = Partition(tuple(e for _, e in lead.exps))
         conj = shape.conjugate()
