@@ -7,11 +7,11 @@ rewrite rules oriented along a graded lexicographic order; presentations may
 designate a Leray-Hirsch fiber basis, which is what turns coefficient
 extraction into fiber integration downstream.
 
-Products, powers and normal forms run on packed monomials: one int with a
-field per generator, and integer numerators over one denominator.  Each
-presentation rewrites on such keys, with a guard bit atop every field for the
-divisibility test, and hands integer rows of ``NF(p*m)`` to the rank
-questions; ``Fraction``s and ``Monomial``s appear only in results.
+Products, powers and normal forms run on packed monomials, laid out as
+:class:`HeadIndex` describes: one int per monomial and integer numerators over
+one denominator.  Presentations rewrite on such keys and hand integer rows of
+``NF(p*m)`` to the rank questions (``RingPresentation.product_rows``);
+``Fraction``s and ``Monomial``s appear only in results.
 
 No floating point enters anywhere: coefficients are arbitrary-precision
 rationals, reduced and with positive denominator by construction.
@@ -499,11 +499,10 @@ class GradedPoly:
         return f"GradedPoly({self})"
 
 
-# Products and powers run on packed terms: a monomial becomes one int holding
-# exponent e_i in bits [i*width, (i+1)*width), and the coefficients become
-# integer numerators over one common denominator.  The width holds the largest
-# exponent any product can reach, so adding keys multiplies monomials with no
-# carry between fields.  Terms keep their first-occurrence order throughout.
+# Products and powers run on the packed terms of HeadIndex with no guard bits:
+# ``width`` is the whole field and holds the largest exponent any product can
+# reach, so adding keys multiplies monomials with no carry between fields.
+# Terms keep their first-occurrence order throughout.
 
 
 def _max_exponent(p: GradedPoly) -> int:
@@ -610,23 +609,28 @@ def monomials_of_degree(ring: GradedRing, degree: int) -> list[Monomial]:
     return results
 
 
-# Rewriting keys put ``width`` value bits under a guard bit no key sets, so
-# with G the guard bits, h divides m when ((m | G) - h) & G == G and m / h is
-# m - h (Monagan and Pearce, CASC 2007).  A field too narrow for an exponent
-# a key reaches makes both wrong.
-
-
 class HeadIndex:
-    """Packed rule heads keyed by their support, so a divisibility query only
-    tests heads whose generators all occur in the key.
+    """Packed keys of ``ring``'s monomials up to ``degree``, and rule heads on
+    them, indexed by support.
 
-    ``find`` answers what a scan of the heads in insertion order would: the
-    first head that divides the key, or None.
+    A key holds exponent ``e_i`` in ``width`` bits from ``shifts[i]`` on, under
+    a guard bit no key sets (``stride = width + 1``).  ``width`` is the bit
+    length of ``degree // low``, ``low`` the least generator degree, so keys
+    of degree up to ``capacity = (low << width) - 1`` fit and add as their
+    monomials multiply.  With G the guard bits, h divides m when
+    ``((m | G) - h) & G == G``, and m / h is then m - h (Monagan and Pearce,
+    CASC 2007).  ``pack`` puts a polynomial on the keys, as integer numerators
+    over the lcm of its denominators.  ``find`` answers what a scan of the
+    heads in insertion order would, testing only heads whose support lies in
+    the key's: the first head that divides the key, or None.
     """
 
-    def __init__(self, ngens: int, width: int):
-        self.width = width
-        self.shifts = tuple(i * (width + 1) for i in range(ngens))
+    def __init__(self, ring: GradedRing, degree: int):
+        low = min(ring.degrees, default=2)
+        self.width = width = max(degree // low, 1).bit_length()
+        self.capacity = (low << width) - 1
+        self.stride = width + 1
+        self.shifts = tuple(i * self.stride for i in range(ring.ngens))
         self.ones = sum(1 << shift for shift in self.shifts)
         self.guards = self.ones << width
         self._by_support: dict[int, list[tuple[int, int]]] = {}
@@ -635,6 +639,9 @@ class HeadIndex:
     def key(self, monomial: Monomial) -> int:
         shifts = self.shifts
         return sum(e << shifts[i] for i, e in monomial.exps)
+
+    def pack(self, p: GradedPoly) -> tuple[dict[int, int], int]:
+        return _pack(p, self.stride)
 
     def add(self, head: int) -> None:
         support = ((head | self.guards) - self.ones) & self.guards
@@ -661,7 +668,7 @@ class HeadIndex:
 class _Rewriter:
     """The packed rewriting kernel of one presentation.
 
-    Rewriting keeps the degree, so a key of degree at most ``capacity`` never
+    Rewriting keeps the degree, so a key within ``heads.capacity`` never
     reaches an exponent its field cannot hold.  Right-hand sides are cleared
     of denominators once; ``cache`` maps a key to its normal form as integer
     numerators by output key over one positive denominator, and ``monomials``
@@ -669,13 +676,9 @@ class _Rewriter:
     """
 
     def __init__(self, pres: "RingPresentation", degree: int):
-        ring = pres.ring
-        low = min(ring.degrees, default=2)
-        self.heads = heads = HeadIndex(ring.ngens, max(degree // low, 1).bit_length())
-        self.capacity = (low << heads.width) - 1
-        self.stride = heads.width + 1
-        self.ring = ring
-        self.rules = {heads.key(lhs): _pack(rhs, self.stride) for lhs, rhs in pres.rules.items()}
+        self.ring = pres.ring
+        self.heads = heads = HeadIndex(pres.ring, degree)
+        self.rules = {heads.key(lhs): heads.pack(rhs) for lhs, rhs in pres.rules.items()}
         for head in self.rules:
             heads.add(head)
         self.cache: dict[int, tuple[dict[int, int], int]] = {}
@@ -740,7 +743,7 @@ class _Rewriter:
         """The polynomial of ``terms`` over ``den``; unseen keys are unpacked once."""
         memo = self.monomials
         if new := {key: 1 for key in terms if key not in memo}:
-            memo.update(zip(new, _unpack(self.ring, new, 1, self.stride).terms))
+            memo.update(zip(new, _unpack(self.ring, new, 1, self.heads.stride).terms))
         poly = GradedPoly.__new__(GradedPoly)
         poly.ring = self.ring
         if den == 1:
@@ -831,7 +834,7 @@ class RingPresentation:
         """The packed kernel, built on first use and rebuilt with wider fields
         when ``degree`` exceeds what its fields hold."""
         kernel = self._kernel
-        if kernel is None or degree > kernel.capacity:
+        if kernel is None or degree > kernel.heads.capacity:
             top = max((lhs.degree(self.ring) for lhs in self.rules), default=0)
             kernel = self._kernel = _Rewriter(self, max(degree, top))
         return kernel
@@ -840,9 +843,30 @@ class RingPresentation:
         if p.ring != self.ring:
             raise RingMismatchError("polynomial is not in the presented ring")
         kernel = self._rewriter(p.degree())
-        packed, den = _pack(p, kernel.stride)
+        packed, den = kernel.heads.pack(p)
         terms, nf_den = kernel.combine(packed.items())
         return kernel.poly(terms, den * nf_den)
+
+    def product_rows(
+        self, p: GradedPoly, multipliers: Sequence[Monomial], columns: Sequence[Monomial]
+    ) -> list[dict[int, int]]:
+        """Integer rows ``{position in columns: coefficient}`` of ``NF(p*m)``, one per
+        ``m`` in ``multipliers``, each up to a positive factor, which keeps ranks; a
+        term outside ``columns`` is an input error.  No product polynomial is built."""
+        ring = self.ring
+        degree = p.degree() + max((m.degree(ring) for m in multipliers), default=0)
+        kernel = self._rewriter(max(degree, max((m.degree(ring) for m in columns), default=0)))
+        heads = kernel.heads
+        terms = heads.pack(p)[0].items()
+        index = {heads.key(m): j for j, m in enumerate(columns)}
+        rows = []
+        for shift in map(heads.key, multipliers):
+            row, _ = kernel.combine((k + shift, n) for k, n in terms)
+            try:
+                rows.append({index[k]: c for k, c in row.items()})
+            except KeyError:
+                raise InvalidInputError("polynomial leaves the expected degree component") from None
+        return rows
 
     # -- Leray-Hirsch decomposition -------------------------------------------
 

@@ -14,9 +14,9 @@ is a terminating, confluent system on the finitely many degrees that matter
 (everything above the top degree reduces to zero), without any general-purpose
 Groebner machinery.  Each relation is cleared of denominators once, and the
 elimination runs over the integers, fraction-free; only the rules become
-``Fraction`` polynomials.  Monomials are packed keys, as in ``exactring``, so
-the column of ``m*t`` in a row is ``index[key(m) + key(t)]``, and the rule
-heads found so far sit in a ``HeadIndex`` on the same keys.
+``Fraction`` polynomials.  Monomials and relations are packed on the keys of
+one ``exactring.HeadIndex``, whose docstring gives the layout and which holds
+the rule heads found so far.
 
 Not every multiple is eliminated.  Rows enter in relation order, and the
 multiple ``m*r_i`` is left out when ``m`` is a leading monomial of the span
@@ -46,7 +46,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .exactring import (
     Frozen,
@@ -226,12 +226,9 @@ def _rref_rules(
     max_gen = max(ring.degrees) if ring.degrees else 0
     limit = top_degree + max_gen
     rules: dict[Monomial, GradedPoly] = {}
-    heads = HeadIndex(ring.ngens, (limit // min(ring.degrees)).bit_length())
-    pack = heads.key
+    heads = HeadIndex(ring, limit)
     rel_degrees = [r.homogeneous_degree() for r in relations]
-    rel_terms = [
-        [(pack(m), c) for m, c in _clear_denominators(r.terms).items()] for r in relations
-    ]
+    rel_terms = [list(heads.pack(r)[0].items()) for r in relations]
     max_rel_degree = max(rel_degrees)
     # degree -> packed keys of its monomials, kept while the degree can still
     # be a multiplier degree
@@ -242,7 +239,7 @@ def _rref_rules(
 
     for degree in range(0, limit + 1, 2):
         columns = monomials_of_degree(ring, degree)
-        vectors[degree] = keys = [pack(m) for m in columns]
+        vectors[degree] = keys = [heads.key(m) for m in columns]
         vectors.pop(degree - max_rel_degree - 2, None)
         introduced.pop(degree - max_rel_degree - 2, None)
         if not columns:
@@ -282,12 +279,6 @@ def _rref_rules(
             rules[lhs] = GradedPoly(ring, rhs)
             heads.add(keys[col])
     return rules
-
-
-def _clear_denominators(terms: Mapping[Monomial, Fraction]) -> dict[Monomial, int]:
-    """``terms`` times the lcm of their denominators: integers with the same span."""
-    scale = math.lcm(*(c.denominator for c in terms.values()))
-    return {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}
 
 
 def _reduce_forward(rows: list[dict[int, int]], pivots: dict[int, dict[int, int]]) -> None:

@@ -3,8 +3,9 @@
 Everything here reduces to exact linear algebra in a single degree: bases of
 quotient components, ideal membership against a list of homogeneous
 generators, the square and cube criteria for detecting evaluation images and
-higher products, and the hard Lefschetz predicate.  These are rank questions,
-answered by the completion's forward elimination alone (``_reduce_forward``).
+higher products, and the hard Lefschetz predicate.  These are rank questions
+on the integer rows of ``RingPresentation.product_rows``, answered by the
+completion's forward elimination alone (``_reduce_forward``).
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from .exactring import (
     InvalidInputError,
     Monomial,
     RingPresentation,
-    _pack,
 )
-from .flagcoh import _clear_denominators, _reduce_forward, basis_monomials
+from .flagcoh import _reduce_forward, basis_monomials
 
 __all__ = [
     "DegreeBasis",
@@ -53,41 +53,6 @@ def degree_basis(pres: RingPresentation, d: int) -> DegreeBasis:
     return DegreeBasis(d, tuple(basis_monomials(pres, d)))
 
 
-def _sparse_row(p: GradedPoly, index: Mapping[Monomial, int]) -> dict[int, int]:
-    """Coordinates of ``p`` cleared of denominators, as a sparse integer row
-    ``{column: coefficient}``; scaling keeps the span, so ranks are unchanged."""
-    try:
-        return {index[m]: c for m, c in _clear_denominators(p.terms).items()}
-    except KeyError:
-        raise InvalidInputError("polynomial leaves the expected degree component") from None
-
-
-def _product_rows(
-    pres: RingPresentation,
-    p: GradedPoly,
-    monomials: Sequence[Monomial],
-    index: Mapping[Monomial, int],
-) -> list[dict[int, int]]:
-    """Integer rows of ``normal_form(p*m)``, one for each monomial ``m``, each
-    up to a positive factor: elimination makes rows primitive and only ranks
-    are read.  The presentation's packed kernel reduces the keys of ``p``'s
-    terms shifted by the key of ``m``, so no product polynomial is built."""
-    ring = pres.ring
-    degree = p.degree() + max((m.degree(ring) for m in monomials), default=0)
-    kernel = pres._rewriter(max(degree, max((m.degree(ring) for m in index), default=0)))
-    terms = _pack(p, kernel.stride)[0].items()
-    key = kernel.heads.key
-    columns = {key(m): j for m, j in index.items()}
-    rows = []
-    for shift in map(key, monomials):
-        row, _ = kernel.combine((k + shift, n) for k, n in terms)
-        try:
-            rows.append({columns[k]: c for k, c in row.items()})
-        except KeyError:
-            raise InvalidInputError("polynomial leaves the expected degree component") from None
-    return rows
-
-
 def ideal_membership(
     z: GradedPoly, gens: Sequence[GradedPoly], pres: RingPresentation
 ) -> bool:
@@ -110,19 +75,20 @@ def ideal_membership(
             raise InvalidInputError("ideal generators must be homogeneous")
         if not g_reduced.is_zero():
             gens_reduced.append(g_reduced)
-    reduced = pres.normal_form(z)
-    if reduced.is_zero():
+    if z.is_zero():
         return True
-    d = reduced.homogeneous_degree()
-    index = {m: j for j, m in enumerate(basis_monomials(pres, d))}
-    target = _sparse_row(reduced, index)
+    d = z.homogeneous_degree()
+    columns = basis_monomials(pres, d)
+    target = pres.product_rows(z, [Monomial.one()], columns)[0]
+    if not target:
+        return True
     pivots: dict[int, dict[int, int]] = {}
     for g_reduced in gens_reduced:
         e = g_reduced.homogeneous_degree()
         if e > d:
             continue
         multipliers = basis_monomials(pres, d - e)
-        _reduce_forward(_product_rows(pres, g_reduced, multipliers, index), pivots)
+        _reduce_forward(pres.product_rows(g_reduced, multipliers, columns), pivots)
     rank = len(pivots)
     _reduce_forward([target], pivots)
     return len(pivots) == rank
@@ -231,9 +197,8 @@ def hard_lefschetz_check(pres: RingPresentation, a: GradedPoly, n: int) -> bool:
         target = basis_monomials(pres, n + k)
         if len(source) != len(target):
             return False
-        index = {m: j for j, m in enumerate(target)}
         pivots: dict[int, dict[int, int]] = {}
-        _reduce_forward(_product_rows(pres, power, source, index), pivots)
+        _reduce_forward(pres.product_rows(power, source, target), pivots)
         if len(pivots) != len(source):
             return False
     return True

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -40,6 +41,19 @@ def random_poly(ring: GradedRing, rng: random.Random, max_terms: int = 5,
         coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         terms[Monomial.make(exps)] = terms.get(Monomial.make(exps), Fraction(0)) + coeff
     return GradedPoly(ring, terms)
+
+
+def clear_denominators(terms: dict) -> dict:
+    """Oracle: ``terms`` times the lcm of their denominators, as integers with
+    the same span."""
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}
+
+
+def sparse_row(p: GradedPoly, index: dict[Monomial, int]) -> dict[int, int]:
+    """Oracle: the coordinates of ``p`` over the columns of ``index``, cleared
+    of denominators."""
+    return {index[m]: c for m, c in clear_denominators(p.terms).items()}
 
 
 def fraction_rule_presentation() -> RingPresentation:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -33,6 +34,7 @@ from charcalc.exactring import (
 from charcalc.flagcoh import basis_monomials, grassmannian_presentation, projective_bundle
 
 from conftest import (
+    clear_denominators,
     enumerated_basis,
     evaluate,
     fraction_rule_presentation,
@@ -235,13 +237,62 @@ def test_rule_index_matches_linear_scan(seed):
         return Monomial.make({i: rng.randint(0, top) for i in range(ngens)})
 
     heads = list(dict.fromkeys(m for m in (monomial(3) for _ in range(12)) if not m.is_one()))
-    index = HeadIndex(ngens, (5).bit_length())
+    index = HeadIndex(GradedRing(tuple(f"t{i}" for i in range(ngens)), (2,) * ngens), 10 * ngens)
     for head in heads:
         index.add(index.key(head))
     for _ in range(40):
         m = monomial(5)
         want = linear_rule_scan(heads, m)
         assert index.find(index.key(m)) == (None if want is None else index.key(want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_head_index_layout_contract(data):
+    """``HeadIndex(ring, degree)`` on generators of degrees 2, 4 and 6: the
+    fields are the narrowest that reach ``degree`` and hold every monomial up
+    to ``capacity``, keys add as monomials multiply, the guard-bit test agrees
+    with ``Monomial.divides``, and ``pack`` clears denominators reversibly."""
+    degrees = tuple(data.draw(st.lists(st.sampled_from((2, 4, 6)), min_size=1, max_size=4)))
+    ring = GradedRing(tuple(f"t{i}" for i in range(len(degrees))), degrees)
+    degree = data.draw(st.integers(0, 80))
+    heads = HeadIndex(ring, degree)
+    low = min(degrees)
+    assert heads.capacity >= degree
+    assert heads.width == 1 or (low << (heads.width - 1)) - 1 < degree
+    mask = (1 << heads.width) - 1
+
+    def monomial(budget):
+        exps = {}
+        for i in data.draw(st.permutations(range(len(degrees)))):
+            exps[i] = data.draw(st.integers(0, budget // degrees[i]))
+            budget -= exps[i] * degrees[i]
+        return Monomial.make(exps)
+
+    for _ in range(4):
+        a = monomial(heads.capacity)
+        key = heads.key(a)
+        assert key & heads.guards == 0
+        assert all((key >> heads.shifts[i]) & mask == a.exponent(i) for i in range(ring.ngens))
+        b = monomial(heads.capacity - a.degree(ring))
+        assert heads.key(a) + heads.key(b) == heads.key(a * b)
+
+        m = a * b if data.draw(st.booleans()) else monomial(heads.capacity)
+        probe = HeadIndex(ring, degree)
+        probe.add(heads.key(a))
+        divides = a.divides(m)
+        assert probe.find(heads.key(m)) == (heads.key(a) if divides else None)
+        if divides:
+            assert heads.key(m) - heads.key(a) == heads.key(m / a)
+
+    p = GradedPoly(ring, {
+        monomial(heads.capacity): Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 12)))
+        for _ in range(data.draw(st.integers(0, 5)))
+    })
+    packed, den = heads.pack(p)
+    assert den == math.lcm(*(c.denominator for c in p.terms.values()))
+    assert packed == {heads.key(m): n for m, n in clear_denominators(p.terms).items()}
+    assert exactring._unpack(ring, packed, den, heads.stride) == p
 
 
 def test_canonical_encoding_golden():
@@ -479,9 +530,9 @@ def test_kernel_widens_for_inputs_above_its_fields():
     y1 = pres.ring.gen(0)
     square = pres.normal_form(y1 * y1)
     first = pres._rewriter(0)
-    assert 400 > first.capacity
+    assert 400 > first.heads.capacity
     assert pres.normal_form(y1 ** 200) == monomial_normal_form(pres, y1 ** 200) == pres.ring.zero()
-    assert pres._rewriter(0) is not first and pres._rewriter(0).capacity >= 400
+    assert pres._rewriter(0) is not first and pres._rewriter(0).heads.capacity >= 400
     assert pres.normal_form(y1 * y1) == square
 
 
@@ -490,7 +541,7 @@ def test_kernel_sizes_fields_by_degree_not_input_exponents():
     ``y^3`` fits the fields its rule needs, yet its normal form ``x^6`` does not."""
     ring = GradedRing(("y", "x"), (4, 2))
     pres = RingPresentation(ring, {Monomial.of(0): ring.gen(1) ** 2})
-    assert pres._rewriter(0).capacity < 12
+    assert pres._rewriter(0).heads.capacity < 12
     assert pres.normal_form(ring.gen(0) ** 3) == ring.gen(1) ** 6
     for e in range(1, 40):
         p = ring.gen(0) ** e + ring.gen(1).scale(Fraction(1, 3)) * ring.gen(0) ** (e // 2)

@@ -7,10 +7,9 @@ from charcalc.exactring import (
     InvalidInputError,
     monomials_of_degree,
 )
-from charcalc import flagcoh
+from charcalc import flagcoh, obstruction
 from charcalc.cli import _parse_space
 from charcalc.flagcoh import (
-    _clear_denominators,
     _eliminate,
     _make_primitive,
     _reduce_forward,
@@ -23,8 +22,6 @@ from charcalc.flagcoh import (
 )
 from charcalc.obstruction import (
     ObstructionInput,
-    _product_rows,
-    _sparse_row,
     degree_basis,
     hard_lefschetz_check,
     ideal_membership,
@@ -33,7 +30,13 @@ from charcalc.obstruction import (
     whitehead_square_criterion,
 )
 
-from conftest import enumerated_basis, fraction_rule_presentation, is_reducible
+from conftest import (
+    clear_denominators,
+    enumerated_basis,
+    fraction_rule_presentation,
+    is_reducible,
+    sparse_row,
+)
 
 
 def projective_space(n):
@@ -72,6 +75,23 @@ def test_zero_is_always_member():
     pres = projective_space(2)
     assert ideal_membership(pres.ring.zero(), [], pres)
     assert ideal_membership(pres.ring.zero(), [pres.ring.gen(0)], pres)
+
+
+def test_membership_shortcuts_skip_elimination(monkeypatch):
+    """``z = 0``, and ``c^3`` whose normal form in CP^2 is 0, are members
+    without any elimination; the generators are still validated first."""
+    pres = projective_space(2)
+    c = pres.ring.gen("c")
+
+    def refuse(*_):
+        raise AssertionError("a membership shortcut eliminated")
+
+    monkeypatch.setattr(flagcoh, "_reduce_forward", refuse)
+    monkeypatch.setattr(obstruction, "_reduce_forward", refuse)
+    assert ideal_membership(c ** 3, [c ** 2], pres)
+    assert ideal_membership(pres.ring.zero(), [c], pres)
+    with pytest.raises(InvalidInputError, match="generators must be homogeneous"):
+        ideal_membership(pres.ring.zero(), [c + c ** 2], pres)
 
 
 def test_membership_in_square_zero_ring():
@@ -151,7 +171,7 @@ def forward_pivots(rows):
     """Integer pivot rows of forward elimination; each row is cleared of
     denominators first, and the given rows are left as they are."""
     pivots = {}
-    _reduce_forward([_clear_denominators(row) for row in rows], pivots)
+    _reduce_forward([clear_denominators(row) for row in rows], pivots)
     return pivots
 
 
@@ -511,16 +531,17 @@ def test_product_rows_are_positive_multiples_of_normal_form_rows(space, rng):
     for e in (2, 4):
         for d in range(e, e + 8, 2):
             multipliers = enumerated_basis(pres, d - e)
-            index = {m: j for j, m in enumerate(enumerated_basis(pres, d))}
+            columns = enumerated_basis(pres, d)
+            index = {m: j for j, m in enumerate(columns)}
             for _ in range(3):
                 p = pres.normal_form(GradedPoly(pres.ring, {
                     m: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                     for m in enumerated_basis(pres, e)
                 }))
-                rows = _product_rows(pres, p, multipliers, index)
+                rows = pres.product_rows(p, multipliers, columns)
                 assert len(rows) == len(multipliers)
                 for m, row in zip(multipliers, rows):
-                    want = _sparse_row(pres.normal_form(p * GradedPoly(pres.ring, {m: 1})), index)
+                    want = sparse_row(pres.normal_form(p * GradedPoly(pres.ring, {m: 1})), index)
                     assert row.keys() == want.keys()
                     if want:
                         j = next(iter(want))
