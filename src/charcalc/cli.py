@@ -96,6 +96,9 @@ MAX_PHI = 10_000
 # Largest --ell for equi su-product: the moment sum visits up to 3^k subset
 # pairs, k <= ell.
 MAX_SU_ELL = 12
+# Most work poly --op pow may do: e x C(e + g - 1, g - 1) for the e-th power of
+# g terms, which has at most C(e + g - 1, g - 1) terms, checked before the power.
+MAX_POWER_WORK = 2 * 10**6
 
 
 # -- small input parsers -------------------------------------------------------
@@ -220,12 +223,28 @@ def _cmd_poly(args) -> tuple[dict, int]:
     elif args.op == "pow":
         if args.e is None:
             raise InvalidInputError("--e: required for pow")
+        _check_power_work(len(a.terms), args.e)
         result = poly_pow(a, args.e)
     else:
         result = a
     if args.component is not None:
         result = graded_component(result, args.component)
     return {"result": str(result), "degree": result.degree()}, 0
+
+
+def _check_power_work(g: int, e: int) -> None:
+    """Refuse a power over ``MAX_POWER_WORK``.  The count climbs one factor of
+    C(e + g - 1, g - 1) at a time and stops past the budget."""
+    work = e if g else 0
+    for j in range(1, g):
+        if work > MAX_POWER_WORK:
+            break
+        work = work * (e + j) // j  # e * C(e + j, j), exactly
+    if work > MAX_POWER_WORK:
+        raise InvalidInputError(
+            f"--e: the power is over the work budget of {MAX_POWER_WORK} "
+            f"(e x C(e + g - 1, g - 1) with g = {g} terms)"
+        )
 
 
 def _check_sym_terms(count: int, what: str, v: int) -> None:

@@ -434,19 +434,19 @@ class GradedPoly:
         return GradedPoly._wrap(self.ring, {m: factor * c for m, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "GradedPoly":
+        """Eager for one term; deferred (:class:`_Power`) for more."""
         if exponent < 0:
             raise InvalidInputError("negative exponent")
-        width = (exponent * _max_exponent(self)).bit_length()
-        base, base_den = _pack(self, width)
-        result, result_den = {0: 1}, 1
-        e = exponent
-        while e:
-            if e & 1:
-                result, result_den = _packed_mul(result, base), result_den * base_den
-            if e > 1:
-                base, base_den = _packed_mul(base, base), base_den * base_den
-            e >>= 1
-        return _unpack(self.ring, result, result_den, width)
+        if len(self.terms) > 1:
+            power = _Power.__new__(_Power)
+            power.ring, power.base, power.exponent = self.ring, self, exponent
+            return power
+        if exponent == 0:
+            return self.ring.one()
+        return GradedPoly._wrap(self.ring, {
+            Monomial(tuple((i, e * exponent) for i, e in m.exps)): c**exponent
+            for m, c in self.terms.items()
+        })
 
     def substitute(
         self, assignments: Mapping[str, "GradedPoly"], ring: GradedRing | None = None
@@ -499,6 +499,22 @@ class GradedPoly:
         return f"GradedPoly({self})"
 
 
+class _Power(GradedPoly):
+    """``base ** exponent``, the base of two or more terms.  ``terms`` is expanded
+    in the free ring on first read; a presentation reduces the power unexpanded."""
+
+    __slots__ = ("base", "exponent")
+
+    def __getattr__(self, name: str):  # only while the ``terms`` slot is unset
+        if name != "terms":
+            raise AttributeError(name)
+        self.terms = terms = _expand_power(self.base, self.exponent)
+        return terms
+
+    def degree(self) -> int:  # exact: (top component of the base) ** exponent != 0
+        return self.exponent * self.base.degree()
+
+
 # Products and powers run on the packed terms of HeadIndex with no guard bits:
 # ``width`` is the whole field and holds the largest exponent any product can
 # reach, so adding keys multiplies monomials with no carry between fields.
@@ -531,6 +547,21 @@ def _packed_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     for k in [k for k, c in out.items() if not c]:
         del out[k]
     return out
+
+
+def _expand_power(p: GradedPoly, exponent: int) -> dict[Monomial, Fraction]:
+    """The terms of ``p ** exponent`` in the free ring, by square-and-multiply."""
+    width = (exponent * _max_exponent(p)).bit_length()
+    base, base_den = _pack(p, width)
+    result, result_den = {0: 1}, 1
+    e = exponent
+    while e:
+        if e & 1:
+            result, result_den = _packed_mul(result, base), result_den * base_den
+        if e > 1:
+            base, base_den = _packed_mul(base, base), base_den * base_den
+        e >>= 1
+    return _unpack(p.ring, result, result_den, width).terms
 
 
 def _unpack(ring: GradedRing, packed: dict[int, int], den: int, width: int) -> GradedPoly:
@@ -765,6 +796,9 @@ class RingPresentation:
     present, lists every monomial no rule divides, by ascending degree and
     largest first within a degree; ``basis_by_degree`` groups it by degree.
 
+    Normal forms are taken to be unique, as for every presentation ``flagcoh``
+    builds; then NF(ab) = NF(NF(a) NF(b)), and powers are reduced in the quotient.
+
     Instances are immutable after construction apart from the packed
     rewriting kernel and its cache of monomial normal forms, built on first
     use.
@@ -839,13 +873,33 @@ class RingPresentation:
             kernel = self._kernel = _Rewriter(self, max(degree, top))
         return kernel
 
+    def _reduced(self, p: GradedPoly, degree: int = 0) -> tuple[_Rewriter, dict[int, int], int]:
+        """The kernel, fit for ``p`` and for keys up to ``degree``, and NF(p) as
+        integer numerators by key over one positive denominator.  A deferred
+        power is never expanded: its reduced base is raised by square-and-multiply
+        with a normal form after each product, under one rewrite budget."""
+        base, e = (p.base, p.exponent) if p.__class__ is _Power else (p, 1)
+        kernel = self._rewriter(max(p.degree(), degree))
+        budget = [REWRITE_LIMIT]
+        packed, den = kernel.heads.pack(base)
+        base, nf_den = kernel.combine(packed.items(), budget)
+        base_den = den * nf_den
+        terms, den = (base, base_den) if e & 1 else ({0: 1}, 1)
+        e >>= 1
+        while e and terms:
+            base, nf_den = kernel.combine(_packed_mul(base, base).items(), budget)
+            base_den *= base_den * nf_den
+            if e & 1:
+                terms, nf_den = kernel.combine(_packed_mul(terms, base).items(), budget)
+                den *= nf_den * base_den
+            e >>= 1
+        return kernel, terms, den
+
     def normal_form(self, p: GradedPoly) -> GradedPoly:
         if p.ring != self.ring:
             raise RingMismatchError("polynomial is not in the presented ring")
-        kernel = self._rewriter(p.degree())
-        packed, den = kernel.heads.pack(p)
-        terms, nf_den = kernel.combine(packed.items())
-        return kernel.poly(terms, den * nf_den)
+        kernel, terms, den = self._reduced(p)
+        return kernel.poly(terms, den)
 
     def product_rows(
         self, p: GradedPoly, multipliers: Sequence[Monomial], columns: Sequence[Monomial]
@@ -855,13 +909,12 @@ class RingPresentation:
         term outside ``columns`` is an input error.  No product polynomial is built."""
         ring = self.ring
         degree = p.degree() + max((m.degree(ring) for m in multipliers), default=0)
-        kernel = self._rewriter(max(degree, max((m.degree(ring) for m in columns), default=0)))
+        kernel, terms, _ = self._reduced(p, max(degree, max((m.degree(ring) for m in columns), default=0)))
         heads = kernel.heads
-        terms = heads.pack(p)[0].items()
         index = {heads.key(m): j for j, m in enumerate(columns)}
         rows = []
         for shift in map(heads.key, multipliers):
-            row, _ = kernel.combine((k + shift, n) for k, n in terms)
+            row, _ = kernel.combine((k + shift, n) for k, n in terms.items())
             try:
                 rows.append({index[k]: c for k, c in row.items()})
             except KeyError:

@@ -182,7 +182,8 @@ def hard_lefschetz_check(pres: RingPresentation, a: GradedPoly, n: int) -> bool:
     ``n`` is half the top degree of the presentation; all k from 1 to n are
     checked, with odd or empty components passing vacuously only when both
     sides are zero-dimensional.  Degree k holds when the product rows of the
-    source basis reach full rank under forward elimination.
+    source basis reach full rank under forward elimination; ``product_rows``
+    takes the normal form of each power ``a**k`` in the quotient.
     """
     if a.ring != pres.ring:
         raise InvalidInputError("a does not live in the presented ring")
@@ -190,15 +191,13 @@ def hard_lefschetz_check(pres: RingPresentation, a: GradedPoly, n: int) -> bool:
         raise InvalidInputError("a must be homogeneous of degree 2")
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
-    power = pres.ring.one()
     for k in range(1, n + 1):
-        power = pres.normal_form(power * a)
         source = basis_monomials(pres, n - k)
         target = basis_monomials(pres, n + k)
         if len(source) != len(target):
             return False
         pivots: dict[int, dict[int, int]] = {}
-        _reduce_forward(pres.product_rows(power, source, target), pivots)
+        _reduce_forward(pres.product_rows(a**k, source, target), pivots)
         if len(pivots) != len(source):
             return False
     return True

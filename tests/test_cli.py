@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import charcalc
-from charcalc import bundlecalc, cli, equivariant, flagcoh, paper, symfun
+from charcalc import bundlecalc, cli, equivariant, exactring, flagcoh, paper, symfun
 
 LONG = "9" * 5000
 
@@ -540,6 +540,33 @@ def test_chern_work_budget_edges(capsys, monkeypatch):
     # past the rank the class is zero, and k counts only up to the rank
     code, out, err = run_cli(capsys, "chern", "--expr", "tensor(E2,E3)", "--k", "9" * 40)
     assert (code, json.loads(out)["class"]) == (0, "0")
+
+
+def test_power_work_budget_edges(capsys, monkeypatch):
+    assert cli.MAX_POWER_WORK == 2 * 10**6
+    # e x C(e + g - 1, g - 1) for g terms: (y+z)^1413 is 1997982 and ^1414 is
+    # 2000810; three terms at 157 and 158 give 1972077 and 2009760; twelve
+    # terms (the CI power guard's) at 9 and 10 give 1511640 and 3527160
+    def refuse(*_):
+        raise AssertionError("expanded")
+
+    monkeypatch.setattr(exactring, "_expand_power", refuse)
+    gens = ",".join(f"y{i}:2" for i in range(12))
+    twelve = " + ".join(f"{i + 1}/{i % 3 + 1}*y{i}" for i in range(12))
+    over = [("y0+y1", "1414"), ("y0+2*y1+3*y2", "158"), (twelve, "10"), ("2*y0", "2000001"),
+            ("y0+y1", "9" * 40), ("1+y0", "9" * 4000)]
+    for a, e in over:
+        code, out, err = run_cli(capsys, "poly", "--gens", gens, "--a", a, "--op", "pow", "--e", e)
+        assert (code, out) == (2, ""), (a, e)
+        assert err.startswith("error: --e: the power is over the work budget of 2000000"), err
+    for a, e in [("y0+y1", "1413"), ("y0+y1", "1000"), ("y0+2*y1+3*y2", "157"), (twelve, "9"),
+                 (twelve, "8")]:
+        code, out, err = run_cli(capsys, "poly", "--gens", gens, "--a", a, "--op", "pow", "--e", e)
+        assert (code, out, err) == (1, "", "internal error: expanded\n"), (a, e)
+    monkeypatch.undo()
+    for a, e, result in [("0", "9" * 40, "0"), ("y0+y1", "0", "1"), ("3*y0", "2", "9*y0^2")]:
+        code, out, err = run_cli(capsys, "poly", "--gens", gens, "--a", a, "--op", "pow", "--e", e)
+        assert (code, json.loads(out)["result"]) == (0, result), err
 
 
 def test_root_variable_budget_edges(capsys, monkeypatch):

@@ -780,3 +780,147 @@ def test_sorted_terms_match_the_dense_order(seed):
     p = random_poly(ring, rng, max_terms=12, max_exponent=3)
     p = p * random_poly(ring, rng, max_terms=3, max_exponent=2)
     assert p.sorted_terms() == dense_sorted_terms(p)
+
+
+# -- deferred powers, reduced in the quotient ------------------------------------
+
+
+def power_base(ring, rng, kind):
+    """A base of two or more terms with Fraction coefficients; ``constant``
+    adds a unit term, and ``zero`` is the empty polynomial."""
+    if kind == "zero":
+        return ring.zero()
+    p = ring.zero()
+    while len(p.terms) < 2:
+        p = p + random_poly(ring, rng, max_terms=3, max_exponent=2)
+    if kind == "constant":
+        p = p + ring.constant(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+    return p
+
+
+def up_to_positive_factor(rows):
+    return [{j: Fraction(c, abs(row[min(row)])) for j, c in row.items()} for row in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(NF_FAMILIES), st.sampled_from(["terms", "constant", "zero"]),
+       st.integers(0, 6), st.integers(0, 10**6))
+def test_deferred_power_matches_the_expansion_oracle(name, kind, e, seed):
+    """On every family, with the warm kernel and a fresh one, the normal form
+    of a deferred power is the oracle's normal form of the expanded power; its
+    terms, equality, hash and text are the expansion's, and its product rows
+    are the expansion's up to a positive factor per row."""
+    pres = presentation_family(name)
+    ring = pres.ring
+    p = power_base(ring, random.Random(seed), kind)
+    expansion = fraction_pow(p, e)
+    want = monomial_normal_form(pres, expansion)
+    multipliers = [Monomial.one(), Monomial.of(0), Monomial.of(ring.ngens - 1, 2)]
+    columns = sorted({m for t in multipliers
+                      for m in monomial_normal_form(pres, expansion * GradedPoly(ring, {t: 1})).terms},
+                     key=lambda m: m.order_key(ring))
+    for target in (pres, RingPresentation(ring, pres.rules)):
+        got = target.normal_form(p**e)
+        assert got == want
+        assert all(type(m) is Monomial for m in got.terms)
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+        rows = target.product_rows(p**e, multipliers, columns)
+        assert up_to_positive_factor(rows) == up_to_positive_factor(
+            target.product_rows(expansion, multipliers, columns))
+    power = p**e
+    assert (type(power) is exactring._Power) == (len(p.terms) > 1)
+    assert power.degree() == expansion.degree()
+    assert hash(power) == hash(expansion)
+    assert str(power) == str(expansion)
+    assert power == expansion and expansion == p**e
+    assert_same_terms(power, expansion)
+
+
+def test_one_term_powers_stay_eager(xy):
+    x, y = xy.gens()
+    assert "__getattr__" not in vars(GradedPoly)
+    for base in (x, y.scale(Fraction(-2, 3)), xy.constant(5), x * y * 2, xy.zero()):
+        for e in (0, 1, 2, 7, 1000):
+            power = base**e
+            assert type(power) is GradedPoly
+            assert_same_terms(power, fraction_pow(base, e))
+    with pytest.raises(InvalidInputError):
+        (x + y) ** -1
+
+
+def refuse_expansion(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a power was expanded in the free ring")
+
+    monkeypatch.setattr(exactring, "_expand_power", refuse)
+
+
+def test_quotient_powers_never_expand(monkeypatch):
+    from charcalc.coupling import CouplingInput, coupling_class, mu_class
+    from charcalc.flagcoh import fiber_integrate
+    from charcalc.obstruction import hard_lefschetz_check
+
+    spheres = _parse_space("sphere:" + ",".join(["2"] * 9))
+    ys = spheres.ring.gens()
+    a = ys[0]
+    for i, y in enumerate(ys[1:], 2):
+        a = a + y.scale(i)
+    # (sum i*y_i)^6 with y_i^2 = 0 is 6! times the elementary sum of degree 6
+    want = GradedPoly(spheres.ring, {
+        Monomial.make(dict.fromkeys(subset, 1)): 720 * math.prod(i + 1 for i in subset)
+        for subset in itertools.combinations(range(9), 6)
+    })
+    pe21, pe22 = _parse_space("pe:2,1"), _parse_space("pe:2,2")
+    c21 = pe21.ring.gen("c")
+    u21 = c21 + pe21.ring.gen("b").scale(3)
+    mu_want = {}
+    for pres, u in ((pe22, pe22.ring.gen("c")), (pe21, u21)):
+        data = CouplingInput(pres, u, 2)
+        for k in (1, 2, 3):
+            mu_want[pres, k] = fiber_integrate(fraction_pow(coupling_class(data), 2 + k), pres)
+    refuse_expansion(monkeypatch)
+    assert spheres.normal_form(a**6) == want
+    assert type(a**6) is exactring._Power
+    for pres, u in ((pe22, pe22.ring.gen("c")), (pe21, u21)):
+        data = CouplingInput(pres, u, 2)
+        for k in (1, 2, 3):
+            assert mu_class(data, k) == mu_want[pres, k]
+    gr33 = _parse_space("gr:3,3")
+    assert hard_lefschetz_check(gr33, gr33.ring.gen("y1"), gr33.top_degree // 2)
+    s3 = _parse_space("sphere:2,2,2")
+    y0, y1, y2 = s3.ring.gens()
+    assert hard_lefschetz_check(s3, y0 + y1.scale(2) - y2, 3)
+    assert not hard_lefschetz_check(s3, y0 + y1, 3)
+
+
+def test_quotient_power_shares_one_rewrite_budget(monkeypatch):
+    pres = _parse_space("gr:3,3")
+    y1, y2 = pres.ring.gen("y1"), pres.ring.gen("y2")
+    want = monomial_normal_form(pres, fraction_pow(y1 + y2, 7))
+    assert normal_form((y1 + y2) ** 7, RingPresentation(pres.ring, pres.rules)) == want
+    budgets = []
+    combine = exactring._Rewriter.combine
+    monkeypatch.setattr(exactring._Rewriter, "combine",
+                        lambda self, pairs, budget=None: budgets.append(budget) or combine(self, pairs, budget))
+    assert normal_form((y1 + y2) ** 7, RingPresentation(pres.ring, pres.rules)) == want
+    assert len(budgets) > 4 and all(b is budgets[0] for b in budgets)
+    monkeypatch.undo()
+    monkeypatch.setattr(exactring, "REWRITE_LIMIT", 3)
+    with pytest.raises(PresentationError, match="exceeded 3 applications"):
+        normal_form((y1 + y2) ** 7, RingPresentation(pres.ring, pres.rules))
+
+
+def test_quotient_power_stops_at_zero(monkeypatch):
+    """Once the running power is zero no further product is taken."""
+    pres = _parse_space("sphere:2,2,2")
+    a = pres.ring.gen(0) + pres.ring.gen(1) + pres.ring.gen(2)
+    products = []
+    real = exactring._packed_mul
+    monkeypatch.setattr(exactring, "_packed_mul", lambda x, y: products.append(1) or real(x, y))
+    assert pres.normal_form(a**3) == pres.ring.gen(0) * pres.ring.gen(1) * pres.ring.gen(2) * 6
+    assert len(products) == 2  # a^2, then a^2 * a
+    products.clear()
+    assert pres.normal_form(a**1000).is_zero()
+    # 1000 = 0b1111101000: a^2, a^4 = 0, a^8 = 0 (an empty square), then
+    # 1 * a^8 = 0 at the first set bit, and the six bits above it are skipped
+    assert len(products) == 4
