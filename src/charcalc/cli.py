@@ -81,9 +81,11 @@ OP_REGISTRY = {
 MAX_PROJECTIVE_DIM = 10_000
 # Largest --partition weight for sym --op to-elementary|sigma-top.
 MAX_SYM_WEIGHT = 16
-# Largest --vars for every sym op, checked before any ring or orbit is built.
+# Largest --vars for every sym op, and --inverse-series for flag, checked
+# before any ring or orbit is built.
 MAX_SYM_VARS = 10_000
-# Most terms sym --op monomial|elementary print, counted before any is built.
+# Most terms sym --op monomial|elementary and flag --inverse-series print,
+# counted before any is built.
 MAX_SYM_TERMS = 10**5
 # Largest rank of a chern --expr bundle, and most root variables its universal
 # leaves may hold, checked before any root or pairing.
@@ -223,7 +225,12 @@ def _cmd_poly(args) -> tuple[dict, int]:
     elif args.op == "pow":
         if args.e is None:
             raise InvalidInputError("--e: required for pow")
-        _check_power_work(len(a.terms), args.e)
+        g = len(a.terms)
+        if _over_work_budget(args.e if g else 0, args.e, g - 1, MAX_POWER_WORK):
+            raise InvalidInputError(
+                f"--e: the power is over the work budget of {MAX_POWER_WORK} "
+                f"(e x C(e + g - 1, g - 1) with g = {g} terms)"
+            )
         result = poly_pow(a, args.e)
     else:
         result = a
@@ -232,19 +239,15 @@ def _cmd_poly(args) -> tuple[dict, int]:
     return {"result": str(result), "degree": result.degree()}, 0
 
 
-def _check_power_work(g: int, e: int) -> None:
-    """Refuse a power over ``MAX_POWER_WORK``.  The count climbs one factor of
-    C(e + g - 1, g - 1) at a time and stops past the budget."""
-    work = e if g else 0
-    for j in range(1, g):
-        if work > MAX_POWER_WORK:
+def _over_work_budget(start: int, n: int, k: int, budget: int) -> bool:
+    """Whether ``start x C(n + k, k)`` is over ``budget``.  The count climbs one
+    factor of C(n + k, k) at a time and stops past the budget."""
+    work = start
+    for j in range(1, k + 1):
+        if work > budget:
             break
-        work = work * (e + j) // j  # e * C(e + j, j), exactly
-    if work > MAX_POWER_WORK:
-        raise InvalidInputError(
-            f"--e: the power is over the work budget of {MAX_POWER_WORK} "
-            f"(e x C(e + g - 1, g - 1) with g = {g} terms)"
-        )
+        work = work * (n + j) // j  # start * C(n + j, j), exactly
+    return work > budget
 
 
 def _check_sym_terms(count: int, what: str, v: int) -> None:
@@ -301,16 +304,10 @@ def _check_chern_work(expr: bundlecalc.BundleExpr, k: int) -> None:
     """Refuse a class whose build is over ``MAX_CHERN_WORK``.  The total class
     is a product of rank factors ``1 + root`` in g root variables, truncated
     at degree 2k, so each partial product has at most C(g + k, k) terms; past
-    the rank the product stops growing, so k counts at most the rank.  The
-    count climbs one factor of k at a time and stops at the budget."""
+    the rank the product stops growing, so k counts at most the rank."""
     rank = expr.rank
     g = sum(leaf.m for leaf in bundlecalc.universal_leaves(expr))
-    work = rank
-    for j in range(1, min(k, rank) + 1):
-        if work > MAX_CHERN_WORK:
-            break
-        work = work * (g + j) // j  # rank * C(g + j, j), exactly
-    if work > MAX_CHERN_WORK:
+    if _over_work_budget(rank, g, min(k, rank), MAX_CHERN_WORK):
         raise InvalidInputError(
             f"--k: the class is over the work budget of {MAX_CHERN_WORK} "
             f"(rank x C(g + k, k) with rank {rank} and g = {g} root variables)"
@@ -347,12 +344,36 @@ def _presentation_payload(pres: RingPresentation, emit: str) -> dict:
     return {"basis": [m.text(pres.ring) for m in pres.fiber_basis]}
 
 
+def _check_series_terms(v: int, d: int) -> None:
+    """Refuse an inverse series of more than ``MAX_SYM_TERMS`` terms.  Piece i
+    has one term per partition of i into parts <= v, so at least one; the count
+    adds one part size at a time and stops past the budget."""
+    total = d
+    if d <= MAX_SYM_TERMS:
+        counts = [1] * (d + 1)  # partitions into parts <= 1
+        for part in range(2, min(v, d) + 1):
+            if total > MAX_SYM_TERMS:
+                break
+            for i in range(part, d + 1):
+                counts[i] += counts[i - part]
+            total = sum(counts) - 1
+    if total > MAX_SYM_TERMS:
+        raise InvalidInputError(
+            f"--degree: the series in {v} variables has more than the budget of {MAX_SYM_TERMS} terms"
+        )
+
+
 def _cmd_flag(args) -> tuple[dict, int]:
     if args.inverse_series is not None:
         if args.inverse_series < 1:
             raise InvalidInputError("--inverse-series: need at least one variable")
+        if args.inverse_series > MAX_SYM_VARS:
+            raise InvalidInputError(
+                f"--inverse-series: {args.inverse_series} is over the budget of {MAX_SYM_VARS}"
+            )
         if args.degree is None or args.degree < 1:
             raise InvalidInputError("--degree: a degree of at least 1 is required with --inverse-series")
+        _check_series_terms(args.inverse_series, args.degree)
         series = flagcoh.inverse_series(args.inverse_series, args.degree)
         return {"series": [str(f) for f in series]}, 0
     if args.dims is None:

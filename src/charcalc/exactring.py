@@ -642,7 +642,7 @@ def monomials_of_degree(ring: GradedRing, degree: int) -> list[Monomial]:
 
 class HeadIndex:
     """Packed keys of ``ring``'s monomials up to ``degree``, and rule heads on
-    them, indexed by support.
+    them in insertion order.
 
     A key holds exponent ``e_i`` in ``width`` bits from ``shifts[i]`` on, under
     a guard bit no key sets (``stride = width + 1``).  ``width`` is the bit
@@ -651,9 +651,8 @@ class HeadIndex:
     monomials multiply.  With G the guard bits, h divides m when
     ``((m | G) - h) & G == G``, and m / h is then m - h (Monagan and Pearce,
     CASC 2007).  ``pack`` puts a polynomial on the keys, as integer numerators
-    over the lcm of its denominators.  ``find`` answers what a scan of the
-    heads in insertion order would, testing only heads whose support lies in
-    the key's: the first head that divides the key, or None.
+    over the lcm of its denominators.  ``find`` scans the heads in insertion
+    order and returns the first that divides the key, or None.
     """
 
     def __init__(self, ring: GradedRing, degree: int):
@@ -662,10 +661,8 @@ class HeadIndex:
         self.capacity = (low << width) - 1
         self.stride = width + 1
         self.shifts = tuple(i * self.stride for i in range(ring.ngens))
-        self.ones = sum(1 << shift for shift in self.shifts)
-        self.guards = self.ones << width
-        self._by_support: dict[int, list[tuple[int, int]]] = {}
-        self._count = 0
+        self.guards = sum(1 << (shift + width) for shift in self.shifts)
+        self._heads: list[int] = []
 
     def key(self, monomial: Monomial) -> int:
         shifts = self.shifts
@@ -675,25 +672,15 @@ class HeadIndex:
         return _pack(p, self.stride)
 
     def add(self, head: int) -> None:
-        support = ((head | self.guards) - self.ones) & self.guards
-        self._by_support.setdefault(support, []).append((self._count, head))
-        self._count += 1
+        self._heads.append(head)
 
     def find(self, key: int) -> int | None:
         guards = self.guards
         high = key | guards
-        support = (high - self.ones) & guards
-        first, found = self._count, None
-        for head_support, heads in self._by_support.items():
-            if head_support & ~support:
-                continue
-            for position, head in heads:
-                if position >= first:
-                    break
-                if (high - head) & guards == guards:
-                    first, found = position, head
-                    break
-        return found
+        for head in self._heads:
+            if (high - head) & guards == guards:
+                return head
+        return None
 
 
 class _Rewriter:

@@ -569,6 +569,32 @@ def test_power_work_budget_edges(capsys, monkeypatch):
         assert (code, json.loads(out)["result"]) == (0, result), err
 
 
+def test_inverse_series_budget_edges(capsys, monkeypatch):
+    assert (cli.MAX_SYM_VARS, cli.MAX_SYM_TERMS) == (10_000, 10**5)
+    # piece i has one term per partition of i into parts <= v: through degree d
+    # that is 99855 and 100171 terms for v = 2 at d = 630 and 631, 98376 and
+    # 115304 for v = 10 at 39 and 40, and 99132 and 120769 for v = 10000 at 36
+    # and 37; one variable prints one term a degree
+    def refuse(*_):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(flagcoh, "inverse_series", refuse)
+    over = [("2", "631"), ("10", "40"), ("10000", "37"), ("1", "100001"), ("3", "9" * 40)]
+    for v, d in over:
+        code, out, err = run_cli(capsys, "flag", "--inverse-series", v, "--degree", d)
+        assert (code, out, err) == (2, "", (
+            f"error: --degree: the series in {v} variables has more than the budget of 100000 terms\n"
+        )), (v, d)
+    for v in ("10001", "9" * 40):
+        code, out, err = run_cli(capsys, "flag", "--inverse-series", v, "--degree", "1")
+        assert (code, out, err) == (
+            2, "", f"error: --inverse-series: {v} is over the budget of 10000\n"
+        ), v
+    for v, d in [("2", "630"), ("10", "39"), ("10000", "36"), ("1", "100000"), ("10000", "1")]:
+        code, out, err = run_cli(capsys, "flag", "--inverse-series", v, "--degree", d)
+        assert (code, out, err) == (1, "", "internal error: built\n"), (v, d)
+
+
 def test_root_variable_budget_edges(capsys, monkeypatch):
     # a rank-0 tensor factor hides its universal leaves from the rank budget,
     # so their root variables are counted on their own: 10000 pass, 10001 not

@@ -331,9 +331,13 @@ def test_rules_above_the_top_are_monomials(dims):
         assert all(is_reducible(pres, m) for m in monomials_of_degree(ring, degree))
 
 
-@pytest.mark.parametrize("dims", [(4, 4), (1, 1, 1, 1, 1)])
+@pytest.mark.parametrize("dims", [
+    (4, 4), (1, 1, 1, 1, 1),
+    pytest.param("gr:4,5", id="gr4,5"),  # the longest head list, 102 heads
+    pytest.param("sphere:" + ",".join(["2"] * 16), id="sphere2x16"),  # the widest keys
+])
 def test_indexed_rule_lookup_matches_linear_scan(dims):
-    pres = flag_presentation(dims)
+    pres = _parse_space(dims) if isinstance(dims, str) else flag_presentation(dims)
     ring = pres.ring
     rng = random.Random(f"lookup:{dims}")
     for _ in range(400):
