@@ -78,7 +78,7 @@ class Trivial(Frozen, BundleExpr):
     __slots__ = _FIELDS = ("r",)
 
     def __init__(self, r: int) -> None:
-        object.__setattr__(self, "r", r)
+        super().__init__(r)
         if r < 0:
             raise InvalidInputError("trivial bundle rank must be nonnegative")
 
@@ -86,31 +86,17 @@ class Trivial(Frozen, BundleExpr):
 class Dual(Frozen, BundleExpr):
     __slots__ = _FIELDS = ("inner",)
 
-    def __init__(self, inner: BundleExpr) -> None:
-        object.__setattr__(self, "inner", inner)
-
 
 class Sum(Frozen, BundleExpr):
     __slots__ = _FIELDS = ("left", "right")
-
-    def __init__(self, left: BundleExpr, right: BundleExpr) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 class Tensor(Frozen, BundleExpr):
     __slots__ = _FIELDS = ("left", "right")
 
-    def __init__(self, left: BundleExpr, right: BundleExpr) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
 
 class Lambda2(Frozen, BundleExpr):
     __slots__ = _FIELDS = ("inner",)
-
-    def __init__(self, inner: BundleExpr) -> None:
-        object.__setattr__(self, "inner", inner)
 
 
 def _children(node: BundleExpr) -> tuple[BundleExpr, ...]:

@@ -79,6 +79,9 @@ OP_REGISTRY = {
 
 # Largest n accepted for --space cpN / cpn:N, checked before any list is built.
 MAX_PROJECTIVE_DIM = 10_000
+# Most factors of --space sphere:...; the ring builds and checks all 2^r
+# square-free basis monomials before any query.
+MAX_SPHERE_FACTORS = 16
 # Largest --partition weight for sym --op to-elementary|sigma-top.
 MAX_SYM_WEIGHT = 16
 # Largest --vars for every sym op, and --inverse-series for flag, checked
@@ -150,6 +153,10 @@ def _parse_space(text: str) -> RingPresentation:
         return flagcoh.sphere_product_ring([2, 2], names=("s1", "s2"))
     if spec.startswith("sphere:"):
         dims = _parse_int_list(spec[len("sphere:"):], "--space")
+        if len(dims) > MAX_SPHERE_FACTORS:
+            raise InvalidInputError(
+                f"--space: {len(dims)} sphere factors are over the budget of {MAX_SPHERE_FACTORS}"
+            )
         return _from_flag("--space", flagcoh.sphere_product_ring, dims)
     if spec.startswith("cpn:"):
         dims = _parse_int_list(spec[len("cpn:"):], "--space")

@@ -57,10 +57,7 @@ class CouplingInput(Frozen):
         n: int,
         section_pullback: Mapping[str, GradedPoly] | None = None,
     ) -> None:
-        object.__setattr__(self, "pres", pres)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "section_pullback", section_pullback)
+        super().__init__(pres, u, n, section_pullback)
         if pres.fiber_basis is None:
             raise InvalidInputError("coupling needs a presentation with a fiber basis")
         if u.ring != pres.ring:
@@ -139,9 +136,7 @@ class MixedIndex(Frozen):
     def __init__(
         self, k: int, exponents: tuple[int, ...], vertical_classes: tuple[GradedPoly, ...]
     ) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "vertical_classes", vertical_classes)
+        super().__init__(k, exponents, vertical_classes)
         if k < 0:
             raise InvalidInputError("coupling exponent must be nonnegative")
         if len(exponents) != len(vertical_classes):

@@ -25,6 +25,7 @@ from .exactring import (
     GradedPoly,
     GradedRing,
     InvalidInputError,
+    Monomial,
     Rational,
 )
 
@@ -52,8 +53,7 @@ class WeightedCircleAction(Frozen):
     __slots__ = _FIELDS = ("n", "weights")
 
     def __init__(self, n: int, weights: tuple[int, ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "weights", weights)
+        super().__init__(n, weights)
         if n < 1:
             raise InvalidInputError("need n >= 1")
         if len(weights) != n + 1:
@@ -97,12 +97,9 @@ def normalized_moment(action: WeightedCircleAction) -> GradedPoly:
     The unnormalized moment is ``w_0 + sum_j (w_j - w_0) x_j`` (value w_j at
     the j-th vertex); subtracting the mean weight makes its integral vanish.
     """
-    ring = simplex_ring(action.n)
     w = action.weights
-    h = ring.constant(Fraction(w[0]) - action.mean_weight())
-    for j in range(1, action.n + 1):
-        h = h + ring.gen(j - 1).scale(w[j] - w[0])
-    return h
+    terms = {Monomial.of(j - 1): w[j] - w[0] for j in range(1, action.n + 1)}
+    return GradedPoly(simplex_ring(action.n), {Monomial.one(): w[0] - action.mean_weight(), **terms})
 
 
 def moment_integral(p: GradedPoly, n: int) -> Rational:

@@ -103,14 +103,26 @@ def format_rational(q: Fraction) -> str:
 
 class Frozen:
     """Base of the immutable value classes.  A subclass lists its fields in
-    ``_FIELDS`` and ``__slots__`` and sets each once in ``__init__`` through
-    ``object.__setattr__``; equality and hash use the tuple of fields, as a
-    frozen dataclass's do, and assignment afterwards raises.  Importing
+    ``_FIELDS`` and ``__slots__``; ``__init__`` sets each once, in order, by
+    position and then by name, and a subclass that validates calls it before
+    its checks.  Equality and hash use the tuple of fields, as a frozen
+    dataclass's do, and assignment afterwards raises.  Importing
     ``dataclasses`` would load ``inspect`` and a dozen more modules on every
     cold start."""
 
     __slots__ = ()
     _FIELDS: tuple[str, ...] = ()
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self._FIELDS
+        if named or len(values) != len(fields):
+            rest = fields[len(values):]
+            if len(values) > len(fields) or named.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)}); "
+                                f"got {len(values)} by position and ({', '.join(named)}) by name")
+            values += tuple(named[name] for name in rest)
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._FIELDS)
@@ -144,8 +156,7 @@ class GradedRing(Frozen):
     __slots__ = _FIELDS = ("generators", "degrees")
 
     def __init__(self, generators: tuple[str, ...], degrees: tuple[int, ...]) -> None:
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "degrees", degrees)
+        super().__init__(generators, degrees)
         if len(generators) != len(degrees):
             raise InvalidInputError("generator and degree lists differ in length")
         if len(set(generators)) != len(generators):
@@ -614,16 +625,20 @@ def monomials_of_degree(ring: GradedRing, degree: int) -> list[Monomial]:
     """All monomials of the given total degree, largest first in graded lex.
 
     The walk fixes exponents generator by generator, each from largest to
-    smallest, so it emits the monomials in descending order."""
+    smallest, so it emits the monomials in descending order.  It ends a branch
+    once the remaining degree is below that of every later generator."""
     if degree < 0 or (degree and not ring.degrees):
         return []
     results: list[Monomial] = []
     degrees = ring.degrees
     last = len(degrees) - 1
+    lows = list(itertools.accumulate(reversed(degrees), min))[::-1]
 
     def walk(index: int, remaining: int, chosen: list[tuple[int, int]]) -> None:
         if remaining == 0:
             results.append(Monomial(tuple(chosen)))
+            return
+        if remaining < lows[index]:
             return
         step = degrees[index]
         if index == last:
@@ -1006,7 +1021,7 @@ def parse_poly(ring: GradedRing, text: str) -> GradedPoly:
     tokens = tokenize(text)
     if not tokens:
         raise InvalidInputError("empty polynomial text")
-    result = ring.zero()
+    terms: dict[Monomial, Fraction] = {}
     pos = 0
 
     def parse_factor() -> GradedPoly:
@@ -1048,8 +1063,11 @@ def parse_poly(ring: GradedRing, text: str) -> GradedPoly:
 
     while True:
         sign = parse_signs()
-        result = result + parse_term().scale(sign)
+        for m, c in parse_term().terms.items():  # one dict; a cancelled term leaves it
+            terms[m] = terms.get(m, 0) + sign * c
+            if not terms[m]:
+                del terms[m]
         if pos >= len(tokens):
-            return result
+            return GradedPoly._wrap(ring, terms)
         if tokens[pos] not in "+-":
             raise InvalidInputError(f"expected '+' or '-', found {tokens[pos]!r}")

@@ -85,7 +85,7 @@ class FlagSpec(Frozen):
     __slots__ = _FIELDS = ("dims",)
 
     def __init__(self, dims: tuple[int, ...]) -> None:
-        object.__setattr__(self, "dims", dims)
+        super().__init__(dims)
         if not dims:
             raise InvalidInputError("flag spec needs at least one block")
         for i, m in enumerate(dims):
@@ -94,10 +94,6 @@ class FlagSpec(Frozen):
             if i and dims[i - 1] < m:
                 raise InvalidInputError("flag block sizes must be weakly decreasing")
 
-    @property
-    def total(self) -> int:
-        return sum(self.dims)
-
 
 class SphereProductSpec(Frozen):
     """Even dimensions (2d_1, ..., 2d_r) of a product of spheres."""
@@ -105,7 +101,7 @@ class SphereProductSpec(Frozen):
     __slots__ = _FIELDS = ("dims",)
 
     def __init__(self, dims: tuple[int, ...]) -> None:
-        object.__setattr__(self, "dims", dims)
+        super().__init__(dims)
         if not dims:
             raise InvalidInputError("sphere product needs at least one factor")
         for d in dims:
@@ -164,26 +160,34 @@ def sphere_product_ring(
 def inverse_series(v: int, d: int) -> list[GradedPoly]:
     """Homogeneous pieces f_1, ..., f_d of ``(1 + y_1 + ... + y_v)^(-1)``.
 
-    f_i has degree 2i; the defining recurrence is
-    ``f_i = -(y_1 f_{i-1} + ... + y_v f_{i-v})`` with f_0 = 1.
+    f_i has degree 2i; the coefficient of y^a in it is the signed multinomial
+    ``(-1)^t t!/(a_1! ... a_v!)`` with ``t = a_1 + ... + a_v``.
     """
     if v < 1 or d < 1:
         raise InvalidInputError("need v >= 1 and d >= 1")
     ambient = GradedRing(
         tuple(f"y{i + 1}" for i in range(v)), tuple(2 * (i + 1) for i in range(v))
     )
-    return _inverse_pieces(ambient, [ambient.gen(j) for j in range(v)], d)[1:]
+    return [_inverse_piece(ambient, (v,), 2 * i) for i in range(1, d + 1)]
 
 
-def _inverse_pieces(ring: GradedRing, y: Sequence[GradedPoly], d: int) -> list[GradedPoly]:
-    """f_0 = 1, f_1, ..., f_d of ``(1 + y[0] + y[1] + ...)^(-1)``, y[j] of degree 2(j+1)."""
-    pieces: list[GradedPoly] = [ring.one()]
-    for i in range(1, d + 1):
-        acc = ring.zero()
-        for j in range(1, min(i, len(y)) + 1):
-            acc = acc + y[j - 1] * pieces[i - j]
-        pieces.append(-acc)
-    return pieces
+def _inverse_piece(ring: GradedRing, blocks: Sequence[int], degree: int) -> GradedPoly:
+    """Part of degree ``degree`` of the product over the blocks of ``(1 + y_1 + ...
+    + y_s)^(-1)``, the generators of ``ring`` running block by block, y_i in degree
+    2i.  Each factor is a geometric series, so y^a has the signed multinomial
+    ``(-1)^t t!/(a_1! ... a_s!)``, ``t = a_1 + ... + a_s``, here a product of
+    binomials; the blocks multiply theirs."""
+    block = [b for b, size in enumerate(blocks) for _ in range(size)]
+    terms = {}
+    for m in monomials_of_degree(ring, degree):
+        coeff, t, current = 1, 0, -1
+        for i, e in m.exps:
+            if block[i] != current:
+                current, t = block[i], 0
+            t += e
+            coeff *= (-1) ** e * math.comb(t, e)
+        terms[m] = Fraction(coeff)
+    return GradedPoly._wrap(ring, terms)
 
 
 def _rref_rules(
@@ -409,13 +413,12 @@ def _flag_presentation_cached(dims: tuple[int, ...]) -> RingPresentation:
         names = [f"y{alpha + 2}_{i + 1}" for alpha, size in enumerate(tail) for i in range(size)]
     ring = GradedRing(tuple(names), tuple(2 * (i + 1) for size in tail for i in range(size)))
 
-    # Total class of the later blocks, times its inverse series up to degree m1.
+    # Total class of the later blocks, times its inverse up to degree 2 m1.
     total, offset = ring.one(), 0
     for size in tail:
         total = total * sum(ring.gens()[offset:offset + size], ring.one())
         offset += size
-    classes = [total.graded_component(2 * j) for j in range(1, sum(tail) + 1)]
-    product = sum(_inverse_pieces(ring, classes, m1), ring.zero()) * total
+    product = sum((_inverse_piece(ring, tail, 2 * i) for i in range(m1 + 1)), ring.zero()) * total
     relations = [product.graded_component(2 * d) for d in range(m1 + 1, m1 + sum(tail) + 1)]
     if any(r.is_zero() for r in relations):
         raise PresentationError("expected a nonzero relation component")

@@ -39,10 +39,6 @@ class DegreeBasis(Frozen):
 
     __slots__ = _FIELDS = ("degree", "monomials")
 
-    def __init__(self, degree: int, monomials: tuple[Monomial, ...]) -> None:
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "monomials", monomials)
-
     @property
     def dimension(self) -> int:
         return len(self.monomials)
@@ -107,9 +103,7 @@ class ObstructionInput(Frozen):
     def __init__(
         self, pres: RingPresentation, alpha_pairing: Mapping[str, Fraction | int], c: GradedPoly
     ) -> None:
-        object.__setattr__(self, "pres", pres)
-        object.__setattr__(self, "alpha_pairing", alpha_pairing)
-        object.__setattr__(self, "c", c)
+        super().__init__(pres, alpha_pairing, c)
         if c.ring != pres.ring:
             raise InvalidInputError("c does not live in the presented ring")
         if c.is_zero() or not c.is_homogeneous() or c.homogeneous_degree() != 2:

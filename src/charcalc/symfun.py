@@ -58,7 +58,7 @@ class Partition(Frozen):
     __slots__ = _FIELDS = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]) -> None:
-        object.__setattr__(self, "parts", parts)
+        super().__init__(parts)
         for i, p in enumerate(parts):
             if p <= 0:
                 raise InvalidInputError("partition parts must be positive")
@@ -256,8 +256,7 @@ class SymExpr(Frozen):
     __slots__ = _FIELDS = ("coeffs", "v")
 
     def __init__(self, coeffs: Mapping[Partition, Fraction], v: int) -> None:
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "v", v)
+        super().__init__(coeffs, v)
         for shape in coeffs:
             _check_arity(shape, v)
 
@@ -301,10 +300,6 @@ class ElemExpr(Frozen):
     """A polynomial in the abstract elementary symmetric generators."""
 
     __slots__ = _FIELDS = ("poly", "v")
-
-    def __init__(self, poly: GradedPoly, v: int) -> None:
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "v", v)
 
     def expand(self) -> GradedPoly:
         """Substitute sigma_k by its expansion, recovering the symmetric polynomial."""

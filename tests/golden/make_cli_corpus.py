@@ -8,7 +8,10 @@ Each line of the corpus is one command: its argv, exit code, stdout and
 stderr, as ``cli.run`` produces them in one process with ``COLUMNS=80``.
 The commands are the distinct ``cli_cold.round_commands`` of seeds 1-5, the
 inputs of ``test_validation_exit_codes``, and ``--output text`` variants of
-the fixed commands and of the first command of each seeded shape.
+the fixed commands and of the first command of each seeded shape, then one
+small command for each mode none of those reach and each budget's just-over
+input (``COVERAGE``).  New commands are appended, so earlier lines keep their
+place.
 ``tests/test_cli_corpus.py`` replays the file and never rewrites it; a
 declared output change reruns this script and names the lines it changed.
 """
@@ -27,6 +30,50 @@ CORPUS = Path(__file__).with_name("cli_corpus.jsonl")
 SEEDS = range(1, 6)
 # argparse wraps its usage text to the terminal width
 COLUMNS = "80"
+
+
+# One successful command per mode, then each budget's smallest refused input.
+COVERAGE = [
+    ["sym", "--op", "monomial", "--partition", "2,1", "--vars", "3"],
+    ["sym", "--op", "elementary", "--k", "2", "--vars", "4"],
+    ["sym", "--op", "to-elementary", "--partition", "2,1", "--vars", "3"],
+    ["chern", "--expr", "E2", "--k", "2", "--emit", "class"],
+    ["chern", "--expr", "sum(E2,E1)", "--k", "2", "--emit", "roots"],
+    ["chern", "--expr", "E3", "--k", "2", "--emit", "monomial-symmetric"],
+    ["flag", "--inverse-series", "3", "--degree", "4"],
+    ["flag", "--inverse-series", "1", "--degree", "5"],
+    ["flag", "--inverse-series", "7", "--degree", "12"],
+    ["flag", "--dims", "2,1", "--emit", "relations"],
+    ["flag", "--dims", "3,2", "--emit", "relations"],
+    ["flag", "--dims", "2,1,1", "--emit", "relations"],
+    ["flag", "--dims", "1,1,1,1", "--emit", "relations"],
+    ["flag", "--dims", "2,1,1", "--emit", "basis"],
+    ["bundle", "--space", "gr:2,2", "--emit", "relations"],
+    ["bundle", "--space", "flag:2,2,1", "--emit", "relations"],
+    ["bundle", "--space", "cp2", "--emit", "basis"],
+    ["bundle", "--space", "cp2"],
+    ["bundle", "--space", "cp2", "--coefficient", "c^2+2*c", "--basis-element", "c"],
+    ["mu", "--space", "pcn-bundle", "--base", "s4", "--n", "2", "--kappa", "4"],
+    ["equi", "integral", "--poly", "x1^2+x2", "--n", "2"],
+    ["equi", "moment", "--n", "2", "--weights", "1,-1,0"],
+    ["poly", "--gens", "y:2,z:4", "--a", "y^2+z"],
+    ["poly", "--gens", "y:2,z:4", "--a", "y^2+z", "--op", "add", "--b", "y+z"],
+    ["poly", "--gens", "y:2,z:4", "--a", "y+z", "--op", "mul", "--b", "y-z"],
+    ["poly", "--gens", "y:2,z:4", "--a", "y^2+z+y", "--component", "4"],
+    ["sym", "--op", "elementary", "--k", "1", "--vars", "10001"],
+    ["sym", "--op", "elementary", "--k", "2", "--vars", "448"],
+    ["sym", "--op", "monomial", "--partition", "2,1", "--vars", "317"],
+    ["flag", "--inverse-series", "10001", "--degree", "1"],
+    ["flag", "--inverse-series", "10000", "--degree", "37"],
+    ["chern", "--expr", "E10001", "--k", "1"],
+    ["chern", "--expr", "tensor(E10001,triv(0))", "--k", "0"],
+    ["chern", "--expr", "E707", "--k", "1"],
+    ["bundle", "--phi", "10001"],
+    ["equi", "su-product", "--ell", "13", "--k", "2"],
+    ["poly", "--gens", "y0:2,y1:2", "--a", "y0+y1", "--op", "pow", "--e", "1414"],
+    ["bundle", "--space", "sphere:" + ",".join(["2"] * 17)],
+    ["obstruct", "dims", "--space", "sphere:" + ",".join(["2"] * 24), "--degree", "2"],
+]
 
 
 def run_command(argv: list[str]) -> dict:
@@ -71,7 +118,7 @@ def corpus_commands() -> list[list[str]]:
     text += [["--output", "text", "paper"], ["--output=text", "flag", "--dims", "2,1"]]
     seen: set[tuple[str, ...]] = set()
     distinct = []
-    for argv in commands + text:
+    for argv in commands + text + COVERAGE:
         if tuple(argv) not in seen:
             seen.add(tuple(argv))
             distinct.append(list(argv))

@@ -595,6 +595,32 @@ def test_inverse_series_budget_edges(capsys, monkeypatch):
         assert (code, out, err) == (1, "", "internal error: built\n"), (v, d)
 
 
+def test_sphere_factor_budget_edges(capsys, monkeypatch):
+    assert cli.MAX_SPHERE_FACTORS == 16
+    built = []
+    original = flagcoh.sphere_product_ring
+
+    def build(dims, names=None):
+        if len(dims) > 16:
+            raise AssertionError("an input over budget reached its computation")
+        built.append(len(dims))
+        return original(dims[:2], names)  # a small stand-in for the 2^r basis
+
+    monkeypatch.setattr(flagcoh, "sphere_product_ring", build)
+    for count, argv in [(17, ("bundle", "--emit", "dims")), (24, ("bundle",)),
+                        (17, ("obstruct", "dims", "--degree", "2"))]:
+        space = "sphere:" + ",".join(["2"] * count)
+        code, out, err = run_cli(capsys, *argv, "--space", space)
+        assert (code, out, err) == (
+            2, "", f"error: --space: {count} sphere factors are over the budget of 16\n"
+        ), (count, argv)
+    code, out, err = run_cli(capsys, "bundle", "--space", "sphere:" + ",".join(["2"] * 16))
+    assert (code, built) == (0, [16]), err
+    # the budget counts factors, whatever their dimensions
+    code, out, err = run_cli(capsys, "bundle", "--space", "sphere:" + ",".join(["4"] * 17))
+    assert (code, built) == (2, [16]), err
+
+
 def test_root_variable_budget_edges(capsys, monkeypatch):
     # a rank-0 tensor factor hides its universal leaves from the rank budget,
     # so their root variables are counted on their own: 10000 pass, 10001 not

@@ -14,6 +14,51 @@ from test_cli import VALIDATION_CASES
 CORPUS = Path(__file__).parent / "golden" / "cli_corpus.jsonl"
 
 
+# Modes that must each have a successful line: the words that must appear in
+# its argv, and the flags that must not.
+MODES = [
+    (("sym", "--op", "monomial"), ()),
+    (("sym", "--op", "elementary"), ()),
+    (("sym", "--op", "to-elementary"), ()),
+    (("chern", "--emit", "class"), ("--eval",)),
+    (("chern", "--emit", "roots"), ("--eval",)),
+    (("chern", "--emit", "monomial-symmetric"), ("--eval",)),
+    (("flag", "--inverse-series"), ()),
+    (("flag", "--emit", "relations"), ()),
+    (("flag", "--emit", "basis"), ()),
+    (("bundle", "--space", "--emit", "relations"), ()),
+    (("bundle", "--space", "--emit", "basis"), ()),
+    (("bundle", "--space"),
+     ("--emit", "--integrate", "--normal", "--coefficient", "--phi", "--output")),
+    (("bundle", "--coefficient"), ()),
+    (("mu", "--kappa"), ()),
+    (("equi", "integral"), ()),
+    (("equi", "moment"), ()),
+    (("poly",), ("--op", "--component")),
+    (("poly", "--op", "add"), ()),
+    (("poly", "--op", "mul"), ()),
+    (("poly", "--component"), ()),
+]
+
+# The smallest input over each budget, refused with exit 2.
+JUST_OVER = [
+    ("obstruct", "square", "--space", "cp10001"),
+    ("sym", "--op", "to-elementary", "--partition", "9,8", "--vars", "2"),
+    ("sym", "--op", "elementary", "--k", "1", "--vars", "10001"),
+    ("sym", "--op", "elementary", "--k", "2", "--vars", "448"),
+    ("sym", "--op", "monomial", "--partition", "2,1", "--vars", "317"),
+    ("flag", "--inverse-series", "10001", "--degree", "1"),
+    ("flag", "--inverse-series", "10000", "--degree", "37"),
+    ("chern", "--expr", "E10001", "--k", "1"),
+    ("chern", "--expr", "tensor(E10001,triv(0))", "--k", "0"),
+    ("chern", "--expr", "E707", "--k", "1"),
+    ("bundle", "--phi", "10001"),
+    ("equi", "su-product", "--ell", "13", "--k", "2"),
+    ("poly", "--gens", "y0:2,y1:2", "--a", "y0+y1", "--op", "pow", "--e", "1414"),
+    ("bundle", "--space", "sphere:" + ",".join(["2"] * 17)),
+]
+
+
 def _records() -> list[dict]:
     with CORPUS.open(encoding="utf-8") as handle:
         return [json.loads(line) for line in handle]
@@ -46,3 +91,11 @@ def test_cli_corpus_covers_its_inputs():
     assert ("paper",) in argvs and ("paper", "--output", "text") in argvs
     assert sum(record["code"] == 0 for record in records) >= 300
     assert sum("text" in record["argv"] for record in records) >= 40
+    passed = [record["argv"] for record in records if record["code"] == 0]
+    for words, absent in MODES:
+        assert any(
+            all(w in argv for w in words) and not any(a.split("=")[0] in absent for a in argv)
+            for argv in passed
+        ), words
+    codes = {tuple(record["argv"]): record["code"] for record in records}
+    assert all(codes.get(argv) == 2 for argv in JUST_OVER)

@@ -18,7 +18,7 @@ from charcalc.equivariant import (
     su_product_integral,
     su_weight_vector,
 )
-from charcalc.exactring import InvalidInputError, parse_poly
+from charcalc.exactring import GradedPoly, InvalidInputError, parse_poly
 
 
 # -- independent iterated-integration oracle -------------------------------------
@@ -92,6 +92,26 @@ def test_normalized_moment_values():
     h2 = normalized_moment(WeightedCircleAction(2, (1, -1, 0)))
     assert h2 == parse_poly(ring2, "1 - 2*x1 - x2")
     assert moment_integral(h2, 2) == 0
+
+
+def test_normalized_moment_matches_a_sum_of_terms(rng, monkeypatch):
+    """Oracle: the moment as a sum of one-term polynomials, zeros dropped, in
+    the same term order; the moment itself adds no polynomials."""
+    cases = [(3, (0, 0, 1, 0)), (2, (1, 2, 3)), (4, (5, -5, 5, 0, 1))]
+    cases += [(n, tuple(rng.randint(-3, 3) for _ in range(n + 1)))
+              for n in rng.choices(range(1, 7), k=30)]
+    for n, weights in cases:
+        if len(set(weights)) == 1:
+            continue
+        action = WeightedCircleAction(n, weights)
+        ring = simplex_ring(n)
+        want = ring.constant(Fraction(weights[0]) - action.mean_weight())
+        for j in range(1, n + 1):
+            want = want + ring.gen(j - 1).scale(weights[j] - weights[0])
+        with monkeypatch.context() as patch:
+            patch.setattr(GradedPoly, "__add__", None)
+            got = normalized_moment(action)
+        assert list(got.terms.items()) == list(want.terms.items()), weights
 
 
 def test_trivial_action_rejected():

@@ -220,6 +220,15 @@ def test_monomials_of_degree_matches_sorted_enumeration(degrees, degree):
     assert monomials_of_degree(ring, degree) == ordered
 
 
+def test_monomials_of_degree_stops_below_the_later_generators():
+    # ten thousand generators in degrees 2, 4, ...: a walk that went on past
+    # the generators it can still use would recurse through all of them
+    ring = GradedRing(tuple(f"y{i}" for i in range(10_000)),
+                      tuple(2 * (i + 1) for i in range(10_000)))
+    assert [m.text(ring) for m in monomials_of_degree(ring, 6)] == ["y0^3", "y0*y1", "y2"]
+    assert len(monomials_of_degree(ring, 72)) == 17977  # the partitions of 36
+
+
 def linear_rule_scan(heads, monomial):
     """Oracle for ``HeadIndex.find``: the first head, in order, dividing ``monomial``."""
     for head in heads:

@@ -6,6 +6,7 @@ bundle trees are only parsed, never evaluated: an ``E<m>`` token can ask for
 any rank.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from charcalc.bundlecalc import Universal, parse_bundle_expr
 from charcalc.exactring import (
     CharcalcError,
+    GradedPoly,
     GradedRing,
     InvalidInputError,
     parse_int,
@@ -106,3 +108,19 @@ def test_parse_rational_accepts_only_p_and_p_over_q():
                 "- 3", "3 / 4", "1/0", "", "/2", "1/", "++1", LONG):
         with pytest.raises(InvalidInputError):
             parse_rational(bad)
+
+
+def test_parse_poly_adds_its_terms_in_one_pass(monkeypatch):
+    """Oracle: the sum of the terms parsed one by one, in the same term order,
+    cancellations included; the parse itself adds no polynomials."""
+    rng = random.Random(7)
+    pieces = ["y", "y0", "E4", "y^2", "y*y0", "2*y0", "1/3*E4", "3", "0", "0*y", "y0*y"]
+    for _ in range(200):
+        terms = [rng.choice("+-") + " " + rng.choice(pieces) for _ in range(rng.randint(1, 9))]
+        want = RING.zero()
+        for term in terms:
+            want = want + parse_poly(RING, term)
+        with monkeypatch.context() as patch:
+            patch.setattr(GradedPoly, "__add__", None)
+            got = parse_poly(RING, " ".join(terms))
+        assert list(got.terms.items()) == list(want.terms.items()), terms

@@ -125,3 +125,22 @@ def test_coupling_input_volume_is_computed_once_and_not_compared():
     assert data == CouplingInput(BUNDLE, BUNDLE.ring.gen("c"), 1)
     with pytest.raises(AttributeError):
         data.fiber_volume = 2
+
+
+def test_fields_are_assigned_by_position_then_name_and_checked_for_arity():
+    left, right = LEAF, Trivial(1)
+    assert Sum(left, right) == Sum(left, right=right) == Sum(right=right, left=left)
+    assert DegreeBasis(2, monomials=()).monomials == ()
+    message = "Sum takes the fields (left, right); got {} by position and ({}) by name"
+    for args, named, shown in [((left,), {}, ""), ((left, right, right), {}, ""),
+                               ((left,), {"left": left}, "left"),
+                               ((left, right), {"extra": 1}, "extra"),
+                               ((), {"left": left, "rite": right}, "left, rite")]:
+        with pytest.raises(TypeError) as info:
+            Sum(*args, **named)
+        assert str(info.value) == message.format(len(args), shown)
+    with pytest.raises(TypeError, match=r"Dual takes the fields \(inner\)"):
+        Dual()
+    # a class that validates keeps its own signature
+    with pytest.raises(TypeError):
+        Trivial()
