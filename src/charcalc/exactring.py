@@ -10,7 +10,8 @@ extraction into fiber integration downstream.
 Products, powers and normal forms run on packed monomials, laid out as
 :class:`HeadIndex` describes: one int per monomial and integer numerators over
 one denominator.  Presentations rewrite on such keys and hand integer rows of
-``NF(p*m)`` to the rank questions (``RingPresentation.product_rows``);
+``NF(p*m)``, and of ``NF(a**k * m)`` for a ladder of powers, to the rank
+questions (``RingPresentation.product_rows`` and ``power_rows``);
 ``Fraction``s and ``Monomial``s appear only in results.
 
 No floating point enters anywhere: coefficients are arbitrary-precision
@@ -24,7 +25,7 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Rational",
@@ -153,13 +154,15 @@ class GradedRing(Frozen):
     significant in the lexicographic tie-break.
     """
 
-    __slots__ = _FIELDS = ("generators", "degrees")
+    _FIELDS = ("generators", "degrees")
+    __slots__ = _FIELDS + ("_positions",)  # name -> index, not compared
 
     def __init__(self, generators: tuple[str, ...], degrees: tuple[int, ...]) -> None:
         super().__init__(generators, degrees)
         if len(generators) != len(degrees):
             raise InvalidInputError("generator and degree lists differ in length")
-        if len(set(generators)) != len(generators):
+        object.__setattr__(self, "_positions", {name: i for i, name in enumerate(generators)})
+        if len(self._positions) != len(generators):
             raise InvalidInputError("generator names must be distinct")
         for name, degree in zip(generators, degrees):
             if not name or not name.replace("_", "").isalnum() or name[0].isdigit():
@@ -185,8 +188,8 @@ class GradedRing(Frozen):
 
     def index(self, name: str) -> int:
         try:
-            return self.generators.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise InvalidInputError(f"unknown generator {name!r}") from None
 
     def zero(self) -> "GradedPoly":
@@ -512,7 +515,8 @@ class GradedPoly:
 
 class _Power(GradedPoly):
     """``base ** exponent``, the base of two or more terms.  ``terms`` is expanded
-    in the free ring on first read; a presentation reduces the power unexpanded."""
+    in the free ring on first read; a presentation reduces the power unexpanded.
+    The free ring is a domain, so the degree questions are answered from the base."""
 
     __slots__ = ("base", "exponent")
 
@@ -524,6 +528,15 @@ class _Power(GradedPoly):
 
     def degree(self) -> int:  # exact: (top component of the base) ** exponent != 0
         return self.exponent * self.base.degree()
+
+    def is_zero(self) -> bool:
+        return False
+
+    def is_homogeneous(self) -> bool:
+        return not self.exponent or self.base.is_homogeneous()
+
+    def homogeneous_degree(self) -> int:  # exponent 0 gives 1, of degree 0
+        return self.exponent and self.exponent * self.base.homogeneous_degree()
 
 
 # Products and powers run on the packed terms of HeadIndex with no guard bits:
@@ -548,11 +561,17 @@ def _pack(p: GradedPoly, width: int) -> tuple[dict[int, int], int]:
 
 
 def _packed_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """``a * b``.  A square (``a is b``) takes each i with itself and each pair
+    i < j once, doubled; a key met at (i, j), j < i, came at (j, i) first."""
     out: dict[int, int] = {}
     get = out.get
     b_items = list(b.items())
-    for k1, c1 in a.items():
-        for k2, c2 in b_items:
+    square = a is b
+    for i, (k1, c1) in enumerate(a.items()):
+        if square:
+            out[k1 + k1] = get(k1 + k1, 0) + c1 * c1
+            c1 += c1
+        for k2, c2 in b_items[i + 1:] if square else b_items:
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
     for k in [k for k, c in out.items() if not c]:
@@ -752,14 +771,18 @@ class _Rewriter:
                 stack.pop()
                 continue
             rhs, rhs_den = rules[head]
-            quotient = m - head
-            children = [(quotient + k, n) for k, n in rhs.items()]
             # charged before the children are reduced, so a cycle runs it out
-            budget[0] -= 1 + len(children)
+            budget[0] -= 1 + len(rhs)
             if budget[0] < 0:
                 raise PresentationError(
                     f"rewriting exceeded {REWRITE_LIMIT} applications; rule set treated as non-terminating"
                 )
+            if not rhs:  # m -> 0: nothing to combine
+                cache[m] = ({}, 1)
+                stack.pop()
+                continue
+            quotient = m - head
+            children = [(quotient + k, n) for k, n in rhs.items()]
             missing = [c for c, _ in children if c not in cache]
             if missing:
                 stack.extend(missing)
@@ -909,19 +932,33 @@ class RingPresentation:
         """Integer rows ``{position in columns: coefficient}`` of ``NF(p*m)``, one per
         ``m`` in ``multipliers``, each up to a positive factor, which keeps ranks; a
         term outside ``columns`` is an input error.  No product polynomial is built."""
-        ring = self.ring
-        degree = p.degree() + max((m.degree(ring) for m in multipliers), default=0)
-        kernel, terms, _ = self._reduced(p, max(degree, max((m.degree(ring) for m in columns), default=0)))
-        heads = kernel.heads
-        index = {heads.key(m): j for j, m in enumerate(columns)}
-        rows = []
-        for shift in map(heads.key, multipliers):
-            row, _ = kernel.combine((k + shift, n) for k, n in terms.items())
-            try:
-                rows.append({index[k]: c for k, c in row.items()})
-            except KeyError:
-                raise InvalidInputError("polynomial leaves the expected degree component") from None
-        return rows
+        return next(self.power_rows(p, [(multipliers, columns)]))
+
+    def power_rows(
+        self, a: GradedPoly, pieces: Sequence[tuple[Sequence[Monomial], Sequence[Monomial]]]
+    ) -> Iterator[list[dict[int, int]]]:
+        """For k = 1, 2, ..., lazily, the rows of ``NF(a**k * m)`` as ``product_rows``
+        gives them, over ``pieces[k - 1] = (multipliers, columns)``.  NF(a) is taken
+        once and each later rung is NF(previous rung * NF(a)), all on the keys of a
+        kernel sized up front for every piece, since a rebuild would change them."""
+        ring, degree = self.ring, 0
+        for k, (multipliers, columns) in enumerate(pieces, 1):
+            top = max((m.degree(ring) for m in multipliers), default=0)
+            degree = max(degree, k * a.degree() + top, *(m.degree(ring) for m in columns))
+        kernel, base, _ = self._reduced(a, degree)
+        key, rung = kernel.heads.key, base
+        for k, (multipliers, columns) in enumerate(pieces):
+            if k:
+                rung, _ = kernel.combine(_packed_mul(rung, base).items())
+            index = {key(m): j for j, m in enumerate(columns)}
+            rows = []
+            for shift in map(key, multipliers):
+                row, _ = kernel.combine((t + shift, n) for t, n in rung.items())
+                try:
+                    rows.append({index[t]: c for t, c in row.items()})
+                except KeyError:
+                    raise InvalidInputError("polynomial leaves the expected degree component") from None
+            yield rows
 
     # -- Leray-Hirsch decomposition -------------------------------------------
 

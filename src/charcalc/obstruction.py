@@ -4,8 +4,8 @@ Everything here reduces to exact linear algebra in a single degree: bases of
 quotient components, ideal membership against a list of homogeneous
 generators, the square and cube criteria for detecting evaluation images and
 higher products, and the hard Lefschetz predicate.  These are rank questions
-on the integer rows of ``RingPresentation.product_rows``, answered by the
-completion's forward elimination alone (``_reduce_forward``).
+on the integer rows of ``RingPresentation.product_rows`` and ``power_rows``,
+answered by the completion's forward elimination alone (``_reduce_forward``).
 """
 
 from __future__ import annotations
@@ -176,8 +176,9 @@ def hard_lefschetz_check(pres: RingPresentation, a: GradedPoly, n: int) -> bool:
     ``n`` is half the top degree of the presentation; all k from 1 to n are
     checked, with odd or empty components passing vacuously only when both
     sides are zero-dimensional.  Degree k holds when the product rows of the
-    source basis reach full rank under forward elimination; ``product_rows``
-    takes the normal form of each power ``a**k`` in the quotient.
+    source basis reach full rank under forward elimination; ``power_rows``
+    climbs one ladder of normal forms, NF(a^k) from NF(a^(k-1)), and stops at
+    the first degree that fails.
     """
     if a.ring != pres.ring:
         raise InvalidInputError("a does not live in the presented ring")
@@ -185,14 +186,16 @@ def hard_lefschetz_check(pres: RingPresentation, a: GradedPoly, n: int) -> bool:
         raise InvalidInputError("a must be homogeneous of degree 2")
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
+    pieces = []
     for k in range(1, n + 1):
         source = basis_monomials(pres, n - k)
         target = basis_monomials(pres, n + k)
         if len(source) != len(target):
             return False
+        pieces.append((source, target))
+    for rows in pres.power_rows(a, pieces):
         pivots: dict[int, dict[int, int]] = {}
-        _reduce_forward(pres.product_rows(a**k, source, target), pivots)
-        if len(pivots) != len(source):
+        _reduce_forward(rows, pivots)
+        if len(pivots) != len(rows):
             return False
     return True
-

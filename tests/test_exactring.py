@@ -57,6 +57,23 @@ def test_ring_rejects_odd_degrees():
         GradedRing(("y", "y"), (2, 2))
 
 
+def test_generator_index_reads_the_names_once():
+    """``index`` looks a name up in a dict built with the ring; the dict is
+    no field, so equality, hash and the fields' arity stay those of the
+    generators and degrees."""
+    names = tuple(f"y{i}" for i in range(300))
+    ring = GradedRing(names, (2,) * 300)
+    assert [ring.index(name) for name in names] == list(range(300))
+    assert GradedRing._FIELDS == ("generators", "degrees")
+    assert ring == GradedRing(names, (2,) * 300) and hash(ring) == hash((names, (2,) * 300))
+    for name in ("z", "y300", "Y0", ""):
+        with pytest.raises(InvalidInputError) as info:
+            ring.index(name)
+        assert str(info.value) == f"unknown generator {name!r}"
+    with pytest.raises(AttributeError):
+        ring._positions = {}
+
+
 def test_product_of_conjugates(xy):
     a = parse_poly(xy, "x1 + x2")
     b = parse_poly(xy, "x1 - x2")
@@ -903,6 +920,30 @@ def test_quotient_powers_never_expand(monkeypatch):
     assert not hard_lefschetz_check(s3, y0 + y1, 3)
 
 
+def test_deferred_power_answers_degree_questions_from_its_base(monkeypatch):
+    """``is_zero``, ``is_homogeneous`` and ``homogeneous_degree`` of a deferred
+    power are the expansion's, read off the base without expanding it."""
+    ring = GradedRing(("a", "b", "c"), (2, 4, 2))
+    a, b, c = ring.gens()
+    bases = [a + c, a * a - b.scale(Fraction(2, 3)), a + b, a * c + ring.constant(1), a - a * c * c]
+    want = {}
+    for p, e in itertools.product(bases, range(5)):
+        expansion = fraction_pow(p, e)
+        degree = expansion.homogeneous_degree() if expansion.is_homogeneous() else None
+        want[str(p), e] = (expansion.is_zero(), expansion.is_homogeneous(), degree)
+    refuse_expansion(monkeypatch)
+    for p, e in itertools.product(bases, range(5)):
+        power = p**e
+        assert type(power) is exactring._Power
+        zero, homogeneous, degree = want[str(p), e]
+        assert (power.is_zero(), power.is_homogeneous()) == (zero, homogeneous)
+        if degree is None:
+            with pytest.raises(InvalidInputError, match="polynomial is not homogeneous"):
+                power.homogeneous_degree()
+        else:
+            assert power.homogeneous_degree() == degree
+
+
 def test_quotient_power_shares_one_rewrite_budget(monkeypatch):
     pres = _parse_space("gr:3,3")
     y1, y2 = pres.ring.gen("y1"), pres.ring.gen("y2")
@@ -934,3 +975,155 @@ def test_quotient_power_stops_at_zero(monkeypatch):
     # 1000 = 0b1111101000: a^2, a^4 = 0, a^8 = 0 (an empty square), then
     # 1 * a^8 = 0 at the first set bit, and the six bits above it are skipped
     assert len(products) == 4
+
+
+# -- squares, zero rules and the power ladder ---------------------------------------
+
+
+class CountedInt(int):
+    """An int that records each product it takes part in."""
+
+    products: list = []
+
+    def __mul__(self, other):
+        CountedInt.products.append(1)
+        return CountedInt(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return CountedInt(int(self) + int(other))
+
+    __radd__ = __add__
+
+
+def test_squares_form_each_cross_pair_once():
+    """``_packed_mul(a, a)`` takes n(n+1)/2 coefficient products where a
+    product of two equal dicts takes n^2, and gives the same terms in the same
+    first-occurrence order, through cancellations and with terms dropped."""
+    rng = random.Random("squares")
+    for n in (0, 1, 2, 5, 17):
+        for _ in range(5):
+            a = {rng.randrange(0, 1 << 12): CountedInt(rng.choice((-3, -1, 1, 2))) for _ in range(n)}
+            CountedInt.products = []
+            square = exactring._packed_mul(a, a)
+            assert len(CountedInt.products) == len(a) * (len(a) + 1) // 2
+            CountedInt.products = []
+            want = exactring._packed_mul(a, dict(a))
+            assert len(CountedInt.products) == len(a) ** 2
+            assert list(square.items()) == list(want.items())
+            assert all(square.values())
+    # (2 + 2t - t^2)^2 = 4 + 8t - 4t^3 + t^4: the t^2 terms cancel and are dropped
+    a = {0: 2, 1: 2, 2: -1}
+    assert list(exactring._packed_mul(a, a).items()) == [(0, 4), (1, 8), (3, -4), (4, 1)]
+    assert list(exactring._packed_mul(a, dict(a)).items()) == [(0, 4), (1, 8), (3, -4), (4, 1)]
+
+
+def zero_rule_presentation(rules=None):
+    """x^2 -> 0 heads the rules, and x*y^2 -> 3*y^3 has terms on the right."""
+    ring = GradedRing(("x", "y"), (2, 2))
+    y = ring.gen(1)
+    return RingPresentation(ring, rules or {
+        Monomial.of(0, 2): ring.zero(),
+        Monomial.make({0: 1, 1: 2}): (y ** 3).scale(3),
+    })
+
+
+def test_zero_rules_rewrite_without_a_nested_combine(monkeypatch):
+    calls = []
+    combine = exactring._Rewriter.combine
+    monkeypatch.setattr(exactring._Rewriter, "combine",
+                        lambda self, pairs, budget=None: calls.append(1) or combine(self, pairs, budget))
+    pres = zero_rule_presentation()
+    x, y = pres.ring.gens()
+    p = x * x + x * x * y * Fraction(1, 2) + x * x * y ** 3 * 5
+    assert pres.normal_form(p).is_zero() and len(calls) == 1
+    assert pres._rewriter(0).cache[pres._rewriter(0).heads.key(Monomial.of(0, 2))] == ({}, 1)
+    calls.clear()
+    assert pres.normal_form(x * y * y) == (y ** 3).scale(3) and len(calls) == 2
+    assert monomial_normal_form(pres, p + x * y * y) == pres.normal_form(p + x * y * y)
+
+
+def test_zero_rules_are_charged_one_application(monkeypatch):
+    """Each cold key a zero rule rewrites costs one application, so the
+    budget counts them; a cycle beside a zero rule still runs it out."""
+    ring = zero_rule_presentation().ring
+    x, y = ring.gens()
+    p = ring.zero()
+    for j in range(6):
+        p = p + x * x * y ** j
+    monkeypatch.setattr(exactring, "REWRITE_LIMIT", 6)
+    assert zero_rule_presentation().normal_form(p).is_zero()
+    monkeypatch.setattr(exactring, "REWRITE_LIMIT", 5)
+    with pytest.raises(PresentationError, match="exceeded 5 applications"):
+        zero_rule_presentation().normal_form(p)
+    ring = GradedRing(("x", "y", "z"), (2, 2, 2))
+    x, y, z = ring.gens()
+    pres = RingPresentation(ring, {Monomial.of(2, 2): ring.zero(), Monomial.of(0, 2): y * y})
+    pres.rules[Monomial.of(1, 2)] = x * x  # undoes the second rule
+    monkeypatch.setattr(exactring, "REWRITE_LIMIT", 1000)
+    with pytest.raises(PresentationError, match="exceeded 1000 applications"):
+        pres.normal_form(z * z + x * x)
+
+
+def assert_positive_multiple(row, want):
+    assert row.keys() == want.keys()
+    if want:
+        j = next(iter(want))
+        scale = Fraction(row[j], want[j])
+        assert scale > 0 and all(row[i] == scale * c for i, c in want.items())
+
+
+@pytest.mark.parametrize("space", KERNEL_SPACES)
+def test_power_rows_climb_the_ladder_of_deferred_powers(space):
+    """For random degree-2 classes, each rung's rows are positive multiples
+    of ``product_rows(a**k, ...)``'s, for every k up to the top and one past
+    it, and a piece with no multipliers yields no rows."""
+    pres = _parse_space(space)
+    ring = pres.ring
+    rng = random.Random(f"ladder {space}")
+    top = pres.top_degree
+    degree_two = [g for g, d in zip(ring.gens(), ring.degrees) if d == 2]
+    for _ in range(3):
+        a = ring.zero()
+        while len(a.terms) < min(2, len(degree_two)):
+            a = a + degree_two[rng.randrange(len(degree_two))].scale(
+                Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 2)))
+        pieces = []
+        for k in range(1, top // 2 + 2):
+            d = rng.randrange(0, max(top - 2 * k, 0) + 1, 2)
+            pieces.append((basis_monomials(pres, d), basis_monomials(pres, d + 2 * k)))
+        pieces[rng.randrange(len(pieces))] = ([], basis_monomials(pres, top))
+        fresh = RingPresentation(ring, pres.rules)
+        ladder = list(fresh.power_rows(a, pieces))
+        assert len(ladder) == len(pieces)
+        for k, ((multipliers, columns), rows) in enumerate(zip(pieces, ladder), 1):
+            want = pres.product_rows(a ** k, multipliers, columns)
+            assert len(rows) == len(want) == len(multipliers)
+            for row, w in zip(rows, want):
+                assert_positive_multiple(row, w)
+
+
+def test_power_rows_size_the_kernel_once_and_climb_lazily(monkeypatch):
+    """One kernel holds every rung, even when a later piece reaches a degree
+    the first does not, and a rung is multiplied only when its rows are asked
+    for: one ``_packed_mul`` per rung after the first."""
+    base = _parse_space("sphere:2,2,2,2")
+    pres = RingPresentation(base.ring, base.rules)
+    ys = pres.ring.gens()
+    a = ys[0] + ys[1].scale(2) - ys[2] + ys[3].scale(Fraction(1, 3))
+    products = []
+    real = exactring._packed_mul
+    monkeypatch.setattr(exactring, "_packed_mul", lambda x, y: products.append(1) or real(x, y))
+    one = Monomial.one()
+    pieces = [([one], basis_monomials(base, 2 * k)) for k in range(1, 5)]
+    # a^5 * y0^11 has degree 32, the least a key needs five bits for; a^4 *
+    # y0^11 would fit in four
+    pieces.append(([Monomial.of(0, 11)], []))
+    ladder = pres.power_rows(a, pieces)
+    assert next(ladder) == [{0: 3, 1: 6, 2: -3, 3: 1}] and products == []
+    kernel = pres._kernel
+    assert kernel.heads.capacity >= 32
+    assert next(ladder) and len(products) == 1
+    assert [len(rows) for rows in ladder] == [1, 1, 1] and len(products) == 4
+    assert pres._kernel is kernel

@@ -1,13 +1,16 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charcalc.exactring import (
     GradedPoly,
     InvalidInputError,
     monomials_of_degree,
 )
-from charcalc import flagcoh, obstruction
+from charcalc import exactring, flagcoh, obstruction
 from charcalc.cli import _parse_space
 from charcalc.flagcoh import (
     _eliminate,
@@ -548,6 +551,73 @@ def test_product_rows_are_positive_multiples_of_normal_form_rows(space, rng):
                         scale = Fraction(row[j], want[j])
                         assert scale > 0
                         assert all(row[k] == scale * c for k, c in want.items())
+
+
+@functools.lru_cache(maxsize=None)
+def spheres(r):
+    return sphere_product_ring([2] * r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=8))
+def test_hard_lefschetz_on_two_spheres_needs_every_weight(weights):
+    """On a product of r 2-spheres, a = sum w_i y_i has a^r = r! prod(w_i) times
+    the top class, so hard Lefschetz holds exactly when no weight is zero."""
+    pres = spheres(len(weights))
+    a = pres.ring.zero()
+    for y, w in zip(pres.ring.gens(), weights):
+        a = a + y.scale(w)
+    if a.is_zero():
+        return
+    assert hard_lefschetz_check(pres, a, len(weights)) == all(weights)
+
+
+def test_hard_lefschetz_holds_for_multiples_of_the_hyperplane_class():
+    """y1 on gr(m, k) and c on CP^n are Kahler classes up to scale."""
+    for m in range(1, 5):
+        for k in range(1, 5):
+            pres = grassmannian_presentation(m, k)
+            for scale in (1, -2, Fraction(3, 5)):
+                assert hard_lefschetz_check(pres, pres.ring.gen("y1").scale(scale), m * k)
+    for n in range(1, 9):
+        pres = projective_space(n)
+        for scale in (-1, Fraction(7, 2)):
+            assert hard_lefschetz_check(pres, pres.ring.gen("c").scale(scale), n)
+
+
+def test_hard_lefschetz_multiplies_once_per_rung(monkeypatch):
+    """On seven 2-spheres the check climbs NF(a), ..., NF(a^7): six products,
+    one per rung after the first, where raising each a**k anew takes more."""
+    pres = spheres(7)
+    a = pres.ring.zero()
+    for i, y in enumerate(pres.ring.gens()):
+        a = a + y.scale(i + 1)
+    products = []
+    real = exactring._packed_mul
+    monkeypatch.setattr(exactring, "_packed_mul", lambda x, y: products.append(1) or real(x, y))
+    assert hard_lefschetz_check(pres, a, 7)
+    assert len(products) == 6
+
+
+def test_criteria_never_expand_the_power(monkeypatch):
+    """The square and cube criteria take c**e in the quotient: with the
+    free-ring expansion refused they answer as with it."""
+    cases = []
+    for n in range(1, 5):
+        cp = projective_space(n)
+        cases.append(ObstructionInput(cp, {"c": 1}, cp.ring.gen("c").scale(Fraction(-2, 3))))
+    pres = product_of_spheres()
+    s1, s2 = pres.ring.gens()
+    for c in (s1, s1 + s2, s1.scale(2) - s2.scale(Fraction(3, 4))):
+        cases.append(ObstructionInput(pres, {"s1": 1, "s2": 2}, c))
+    want = [(whitehead_square_criterion(d), whitehead_cube_criterion(d)) for d in cases]
+    assert want == [(True, True), (False, True), (False, False), (False, False)] + [(True, True)] * 3
+
+    def refuse(*_):
+        raise AssertionError("a power was expanded in the free ring")
+
+    monkeypatch.setattr(exactring, "_expand_power", refuse)
+    assert [(whitehead_square_criterion(d), whitehead_cube_criterion(d)) for d in cases] == want
 
 
 def test_hard_lefschetz_validation():
