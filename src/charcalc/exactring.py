@@ -515,8 +515,7 @@ class GradedPoly:
 
 class _Power(GradedPoly):
     """``base ** exponent``, the base of two or more terms.  ``terms`` is expanded
-    in the free ring on first read; a presentation reduces the power unexpanded.
-    The free ring is a domain, so the degree questions are answered from the base."""
+    in the free ring on first read; a presentation reduces the power unexpanded."""
 
     __slots__ = ("base", "exponent")
 
@@ -528,15 +527,6 @@ class _Power(GradedPoly):
 
     def degree(self) -> int:  # exact: (top component of the base) ** exponent != 0
         return self.exponent * self.base.degree()
-
-    def is_zero(self) -> bool:
-        return False
-
-    def is_homogeneous(self) -> bool:
-        return not self.exponent or self.base.is_homogeneous()
-
-    def homogeneous_degree(self) -> int:  # exponent 0 gives 1, of degree 0
-        return self.exponent and self.exponent * self.base.homogeneous_degree()
 
 
 # Products and powers run on the packed terms of HeadIndex with no guard bits:
@@ -571,7 +561,7 @@ def _packed_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         if square:
             out[k1 + k1] = get(k1 + k1, 0) + c1 * c1
             c1 += c1
-        for k2, c2 in b_items[i + 1:] if square else b_items:
+        for k2, c2 in itertools.islice(b_items, i + 1, None) if square else b_items:
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
     for k in [k for k, c in out.items() if not c]:

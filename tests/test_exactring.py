@@ -920,30 +920,6 @@ def test_quotient_powers_never_expand(monkeypatch):
     assert not hard_lefschetz_check(s3, y0 + y1, 3)
 
 
-def test_deferred_power_answers_degree_questions_from_its_base(monkeypatch):
-    """``is_zero``, ``is_homogeneous`` and ``homogeneous_degree`` of a deferred
-    power are the expansion's, read off the base without expanding it."""
-    ring = GradedRing(("a", "b", "c"), (2, 4, 2))
-    a, b, c = ring.gens()
-    bases = [a + c, a * a - b.scale(Fraction(2, 3)), a + b, a * c + ring.constant(1), a - a * c * c]
-    want = {}
-    for p, e in itertools.product(bases, range(5)):
-        expansion = fraction_pow(p, e)
-        degree = expansion.homogeneous_degree() if expansion.is_homogeneous() else None
-        want[str(p), e] = (expansion.is_zero(), expansion.is_homogeneous(), degree)
-    refuse_expansion(monkeypatch)
-    for p, e in itertools.product(bases, range(5)):
-        power = p**e
-        assert type(power) is exactring._Power
-        zero, homogeneous, degree = want[str(p), e]
-        assert (power.is_zero(), power.is_homogeneous()) == (zero, homogeneous)
-        if degree is None:
-            with pytest.raises(InvalidInputError, match="polynomial is not homogeneous"):
-                power.homogeneous_degree()
-        else:
-            assert power.homogeneous_degree() == degree
-
-
 def test_quotient_power_shares_one_rewrite_budget(monkeypatch):
     pres = _parse_space("gr:3,3")
     y1, y2 = pres.ring.gen("y1"), pres.ring.gen("y2")
