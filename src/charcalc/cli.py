@@ -101,8 +101,8 @@ MAX_PHI = 10_000
 # Largest --ell for equi su-product: the moment sum visits up to 3^k subset
 # pairs, k <= ell.
 MAX_SU_ELL = 12
-# Most work poly --op pow may do: e x C(e + g - 1, g - 1) for the e-th power of
-# g terms, which has at most C(e + g - 1, g - 1) terms, checked before the power.
+# Most work poly --op pow may do, checked before the power: e x C(e + g - 1, g - 1)
+# for g terms, which bounds the coefficient products of the power's ladder.
 MAX_POWER_WORK = 2 * 10**6
 
 

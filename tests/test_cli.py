@@ -569,6 +569,28 @@ def test_power_work_budget_edges(capsys, monkeypatch):
         assert (code, json.loads(out)["result"]) == (0, result), err
 
 
+def test_power_work_budget_bounds_the_coefficient_products(monkeypatch):
+    """At each edge the budget accepts, the power takes at most e x C(e + g - 1,
+    g - 1) coefficient products, len(a) x len(b) for each ``_packed_mul``.  The
+    ladder's rung k has C(k + g - 1, g - 1) terms here, nothing merging, so it
+    takes g x (C(e + g - 1, g) - 1) in all."""
+    ring = cli._parse_gens(",".join(f"y{i}:2" for i in range(12)))
+    twelve = " + ".join(f"{i + 1}/{i % 3 + 1}*y{i}" for i in range(12))
+    products = []
+    real = exactring._packed_mul
+    monkeypatch.setattr(exactring, "_packed_mul",
+                        lambda a, b: products.append(len(a) * len(b)) or real(a, b))
+    for a, e in [("y0+y1", 1413), ("y0+2*y1+3*y2", 157), (twelve, 9), ("2*y0", 2 * 10**6)]:
+        p = exactring.parse_poly(ring, a)
+        g = len(p.terms)
+        bound = e * math.comb(e + g - 1, g - 1)
+        assert bound <= cli.MAX_POWER_WORK < (e + 1) * math.comb(e + g, g - 1), a
+        products.clear()
+        assert len((p**e).terms) == math.comb(e + g - 1, g - 1)
+        assert sum(products) <= bound, a
+        assert sum(products) == (g * (math.comb(e + g - 1, g) - 1) if g > 1 else 0), a
+
+
 def test_inverse_series_budget_edges(capsys, monkeypatch):
     assert (cli.MAX_SYM_VARS, cli.MAX_SYM_TERMS) == (10_000, 10**5)
     # piece i has one term per partition of i into parts <= v: through degree d

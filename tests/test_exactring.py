@@ -608,10 +608,10 @@ def test_memoized_basis_matches_a_fresh_enumeration(space):
         assert basis_monomials(pres, degree) == fresh
 
 
-# The oracles below are the kernel products and powers ran on before packed
-# keys: monomials merged pair by pair, Fraction coefficients accumulated
-# through ``dict.get``, and powers by square-and-multiply over that product.
-# The packed kernel must give the same terms in the same order.
+# The oracles below are the kernel products ran on before packed keys:
+# monomials merged pair by pair, Fraction coefficients accumulated through
+# ``dict.get``; powers multiply the running power by the base over that
+# product.  The packed kernel must give the same terms in the same order.
 
 
 def fraction_mul(p, q):
@@ -627,13 +627,8 @@ def fraction_mul(p, q):
 
 def fraction_pow(p, exponent):
     result = p.ring.one()
-    base = p
-    e = exponent
-    while e:
-        if e & 1:
-            result = fraction_mul(result, base)
-        base = fraction_mul(base, base) if e > 1 else base
-        e >>= 1
+    for _ in range(exponent):
+        result = fraction_mul(result, p)
     return result
 
 
@@ -938,7 +933,8 @@ def test_quotient_power_shares_one_rewrite_budget(monkeypatch):
 
 
 def test_quotient_power_stops_at_zero(monkeypatch):
-    """Once the running power is zero no further product is taken."""
+    """Once the running power is zero no further product is taken; a power
+    that never reaches zero takes one product a rung."""
     pres = _parse_space("sphere:2,2,2")
     a = pres.ring.gen(0) + pres.ring.gen(1) + pres.ring.gen(2)
     products = []
@@ -948,51 +944,17 @@ def test_quotient_power_stops_at_zero(monkeypatch):
     assert len(products) == 2  # a^2, then a^2 * a
     products.clear()
     assert pres.normal_form(a**1000).is_zero()
-    # 1000 = 0b1111101000: a^2, a^4 = 0, a^8 = 0 (an empty square), then
-    # 1 * a^8 = 0 at the first set bit, and the six bits above it are skipped
-    assert len(products) == 4
+    assert len(products) == 3  # a^2, a^3, then a^4 = 0 ends the climb
+    # a unit term keeps every rung nonzero: (1 + c)^10000 on CP^3 climbs them all
+    cp3 = _parse_space("cp3")
+    c = cp3.ring.gen("c")
+    products.clear()
+    assert cp3.normal_form((cp3.ring.one() + c) ** 10000) == GradedPoly(
+        cp3.ring, {Monomial.of(0, j): math.comb(10000, j) for j in range(4)})
+    assert len(products) == 9999
 
 
-# -- squares, zero rules and the power ladder ---------------------------------------
-
-
-class CountedInt(int):
-    """An int that records each product it takes part in."""
-
-    products: list = []
-
-    def __mul__(self, other):
-        CountedInt.products.append(1)
-        return CountedInt(int(self) * int(other))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return CountedInt(int(self) + int(other))
-
-    __radd__ = __add__
-
-
-def test_squares_form_each_cross_pair_once():
-    """``_packed_mul(a, a)`` takes n(n+1)/2 coefficient products where a
-    product of two equal dicts takes n^2, and gives the same terms in the same
-    first-occurrence order, through cancellations and with terms dropped."""
-    rng = random.Random("squares")
-    for n in (0, 1, 2, 5, 17):
-        for _ in range(5):
-            a = {rng.randrange(0, 1 << 12): CountedInt(rng.choice((-3, -1, 1, 2))) for _ in range(n)}
-            CountedInt.products = []
-            square = exactring._packed_mul(a, a)
-            assert len(CountedInt.products) == len(a) * (len(a) + 1) // 2
-            CountedInt.products = []
-            want = exactring._packed_mul(a, dict(a))
-            assert len(CountedInt.products) == len(a) ** 2
-            assert list(square.items()) == list(want.items())
-            assert all(square.values())
-    # (2 + 2t - t^2)^2 = 4 + 8t - 4t^3 + t^4: the t^2 terms cancel and are dropped
-    a = {0: 2, 1: 2, 2: -1}
-    assert list(exactring._packed_mul(a, a).items()) == [(0, 4), (1, 8), (3, -4), (4, 1)]
-    assert list(exactring._packed_mul(a, dict(a)).items()) == [(0, 4), (1, 8), (3, -4), (4, 1)]
+# -- zero rules and the power ladder ---------------------------------------------
 
 
 def zero_rule_presentation(rules=None):
