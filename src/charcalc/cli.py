@@ -119,21 +119,23 @@ def _from_flag(flag: str, call: Callable[..., _T], *args) -> _T:
         raise InvalidInputError(f"{flag}: {exc}") from exc
 
 
-def _int_flag(text: str) -> int:
-    """The argparse type of every integer flag: decimal digits, as ``parse_int``
-    reads them; argparse names the flag in the error."""
-    try:
-        return parse_int(text)
-    except InvalidInputError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _int_flag(low: int = 0, high: int | None = None) -> Callable[[str], int]:
+    """The argparse type of an integer flag: decimal digits, as ``parse_int``
+    reads them, from ``low`` up to the budget ``high``.  The parser's error
+    names the flag."""
 
+    def parse(text: str) -> int:
+        try:
+            value = parse_int(text)
+        except InvalidInputError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{value} is over the budget of {high}")
+        return value
 
-def _positive_int_flag(text: str) -> int:
-    """The argparse type of an integer flag that must be at least 1."""
-    value = _int_flag(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+    return parse
 
 
 def _parse_int_list(text: str, flag: str, parse: Callable[[str], int] = parse_int) -> list[int]:
@@ -265,8 +267,6 @@ def _check_sym_terms(count: int, what: str, v: int) -> None:
 
 
 def _cmd_sym(args) -> tuple[dict, int]:
-    if args.vars > MAX_SYM_VARS:
-        raise InvalidInputError(f"--vars: {args.vars} is over the budget of {MAX_SYM_VARS}")
     if args.op == "elementary":
         if args.k is None:
             raise InvalidInputError("--k: required for elementary")
@@ -372,12 +372,6 @@ def _check_series_terms(v: int, d: int) -> None:
 
 def _cmd_flag(args) -> tuple[dict, int]:
     if args.inverse_series is not None:
-        if args.inverse_series < 1:
-            raise InvalidInputError("--inverse-series: need at least one variable")
-        if args.inverse_series > MAX_SYM_VARS:
-            raise InvalidInputError(
-                f"--inverse-series: {args.inverse_series} is over the budget of {MAX_SYM_VARS}"
-            )
         if args.degree is None or args.degree < 1:
             raise InvalidInputError("--degree: a degree of at least 1 is required with --inverse-series")
         _check_series_terms(args.inverse_series, args.degree)
@@ -392,8 +386,6 @@ def _cmd_flag(args) -> tuple[dict, int]:
 
 def _cmd_bundle(args) -> tuple[dict, int]:
     if args.phi is not None:
-        if args.phi > MAX_PHI:
-            raise InvalidInputError(f"--phi: {args.phi} is over the budget of {MAX_PHI}")
         result = flagcoh.phi_pullback(args.phi)
         return {"class": str(result)}, 0
     pres = _parse_space(args.space)
@@ -455,8 +447,6 @@ def _cmd_equi(args) -> tuple[dict, int]:
     if args.equi_op == "mu":
         value = equivariant.mu_of_circle(action, args.k)
     elif args.equi_op == "su-product":
-        if args.ell > MAX_SU_ELL:
-            raise InvalidInputError(f"--ell: {args.ell} is over the budget of {MAX_SU_ELL}")
         value = _from_flag("--k", equivariant.su_product_integral, args.ell, args.k)
     elif args.equi_op == "nu1":
         value = _from_flag("--vertex", equivariant.nu1_at_fixed_point, action, args.vertex)
@@ -571,16 +561,25 @@ def _cmd_paper(args) -> tuple[dict, int]:
 # -- wiring ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors take the one path every CLI error takes: an
+    ``InvalidInputError`` that ``run`` prints as one ``error: --flag: reason``
+    line, in place of argparse's usage block."""
+
+    def error(self, message: str):
+        raise InvalidInputError(message.removeprefix("argument "))
+
+
 def build_parser() -> argparse.ArgumentParser:
     # every parser takes --output, before or after a subcommand; SUPPRESS keeps a
     # parser that did not see it from overwriting the value another one parsed
-    output = argparse.ArgumentParser(add_help=False)
+    output = _Parser(add_help=False)
     output.add_argument("--output", choices=("json", "text"), default=argparse.SUPPRESS)
 
     def add(subparsers, name: str, **kwargs) -> argparse.ArgumentParser:
         return subparsers.add_parser(name, parents=[output], **kwargs)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="charcalc",
         description="exact characteristic-class calculator",
         parents=[output],
@@ -592,8 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--a", required=True)
     p_poly.add_argument("--b")
     p_poly.add_argument("--op", choices=("add", "mul", "pow", "none"), default="none")
-    p_poly.add_argument("--e", type=_int_flag)
-    p_poly.add_argument("--component", type=_int_flag)
+    p_poly.add_argument("--e", type=_int_flag())
+    p_poly.add_argument("--component", type=_int_flag())
     p_poly.set_defaults(handler=_cmd_poly)
 
     p_sym = add(sub, "sym", help="symmetric function calculus")
@@ -603,13 +602,13 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p_sym.add_argument("--partition")
-    p_sym.add_argument("--vars", type=_positive_int_flag, required=True)
-    p_sym.add_argument("--k", type=_int_flag)
+    p_sym.add_argument("--vars", type=_int_flag(1, MAX_SYM_VARS), required=True)
+    p_sym.add_argument("--k", type=_int_flag())
     p_sym.set_defaults(handler=_cmd_sym)
 
     p_chern = add(sub, "chern", help="Chern classes of bundle expressions")
     p_chern.add_argument("--expr", required=True)
-    p_chern.add_argument("--k", type=_int_flag, required=True)
+    p_chern.add_argument("--k", type=_int_flag(), required=True)
     p_chern.add_argument("--eval", choices=("sphere", "none"), default="none")
     p_chern.add_argument(
         "--emit", choices=("class", "roots", "monomial-symmetric"), default="class"
@@ -619,8 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_flag = add(sub, "flag", help="flag manifold presentations")
     p_flag.add_argument("--dims")
     p_flag.add_argument("--emit", choices=("relations", "basis", "dims"), default="dims")
-    p_flag.add_argument("--inverse-series", type=_int_flag, dest="inverse_series")
-    p_flag.add_argument("--degree", type=_int_flag)
+    p_flag.add_argument("--inverse-series", type=_int_flag(1, MAX_SYM_VARS), dest="inverse_series")
+    p_flag.add_argument("--degree", type=_int_flag())
     p_flag.set_defaults(handler=_cmd_flag)
 
     p_bundle = add(sub, "bundle", help="presented total spaces and fiber integration")
@@ -630,41 +629,41 @@ def build_parser() -> argparse.ArgumentParser:
     p_bundle.add_argument("--normal")
     p_bundle.add_argument("--coefficient")
     p_bundle.add_argument("--basis-element", dest="basis_element")
-    p_bundle.add_argument("--phi", type=_positive_int_flag)
+    p_bundle.add_argument("--phi", type=_int_flag(1, MAX_PHI))
     p_bundle.set_defaults(handler=_cmd_bundle)
 
     p_mu = add(sub, "mu", help="coupling classes and their fiber integrals")
     p_mu.add_argument("--space", choices=("pcn-bundle", "trivial"), required=True)
     p_mu.add_argument("--base", required=True, help="even sphere base, e.g. s4")
-    p_mu.add_argument("--n", type=_int_flag, required=True)
-    p_mu.add_argument("--k", type=_int_flag)
+    p_mu.add_argument("--n", type=_int_flag(), required=True)
+    p_mu.add_argument("--k", type=_int_flag())
     p_mu.add_argument("--emit", choices=("class", "coupling"), default="class")
     p_mu.add_argument("--nu", action="store_true", help="use the section-normalized class")
-    p_mu.add_argument("--kappa", type=_int_flag, help="exponent for the vertical-class shape")
+    p_mu.add_argument("--kappa", type=_int_flag(), help="exponent for the vertical-class shape")
     p_mu.set_defaults(handler=_cmd_mu)
 
     p_equi = add(sub, "equi", help="exact circle-action integrals")
     equi_sub = p_equi.add_subparsers(dest="equi_op", required=True)
     eq_mu = add(equi_sub, "mu")
-    eq_mu.add_argument("--n", type=_positive_int_flag, required=True)
+    eq_mu.add_argument("--n", type=_int_flag(1), required=True)
     eq_mu.add_argument("--weights", required=True)
-    eq_mu.add_argument("--k", type=_positive_int_flag, required=True)
+    eq_mu.add_argument("--k", type=_int_flag(1), required=True)
     eq_su = add(equi_sub, "su-product")
-    eq_su.add_argument("--ell", type=_int_flag, required=True)
-    eq_su.add_argument("--k", type=_int_flag, required=True)
+    eq_su.add_argument("--ell", type=_int_flag(0, MAX_SU_ELL), required=True)
+    eq_su.add_argument("--k", type=_int_flag(), required=True)
     eq_nu = add(equi_sub, "nu1")
-    eq_nu.add_argument("--n", type=_positive_int_flag, required=True)
+    eq_nu.add_argument("--n", type=_int_flag(1), required=True)
     eq_nu.add_argument("--weights", required=True)
-    eq_nu.add_argument("--vertex", type=_int_flag, required=True)
+    eq_nu.add_argument("--vertex", type=_int_flag(), required=True)
     eq_simplex = add(equi_sub, "simplex")
     eq_simplex.add_argument("--alpha", required=True)
-    eq_simplex.add_argument("--n", type=_positive_int_flag, required=True)
+    eq_simplex.add_argument("--n", type=_int_flag(1), required=True)
     eq_moment = add(equi_sub, "moment")
-    eq_moment.add_argument("--n", type=_positive_int_flag, required=True)
+    eq_moment.add_argument("--n", type=_int_flag(1), required=True)
     eq_moment.add_argument("--weights", required=True)
     eq_integral = add(equi_sub, "integral")
     eq_integral.add_argument("--poly", required=True)
-    eq_integral.add_argument("--n", type=_positive_int_flag, required=True)
+    eq_integral.add_argument("--n", type=_int_flag(1), required=True)
     for sub_parser in (eq_mu, eq_su, eq_nu, eq_simplex, eq_moment, eq_integral):
         sub_parser.set_defaults(handler=_cmd_equi)
 
@@ -681,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     ob_hl.add_argument("--class", dest="cls", required=True)
     ob_dims = add(ob_sub, "dims")
     ob_dims.add_argument("--space", required=True)
-    ob_dims.add_argument("--degree", type=_int_flag, required=True)
+    ob_dims.add_argument("--degree", type=_int_flag(), required=True)
     ob_member = add(ob_sub, "member")
     ob_member.add_argument("--space", required=True)
     ob_member.add_argument("--z", required=True)
@@ -710,17 +709,14 @@ def _emit(payload: dict, mode: str) -> str:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv, argparse.Namespace(output="json"))
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
+        args = build_parser().parse_args(argv, argparse.Namespace(output="json"))
         payload, code = args.handler(args)
     except CharcalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SystemExit as exc:  # --help printed its text
+        return exc.code
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

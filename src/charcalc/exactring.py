@@ -172,16 +172,6 @@ class GradedRing(Frozen):
                     f"generator {name} has degree {degree}; only positive even degrees are supported"
                 )
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not GradedRing:
-            return NotImplemented
-        return self.generators == other.generators and self.degrees == other.degrees
-
-    def __hash__(self) -> int:
-        return hash((self.generators, self.degrees))
-
     @property
     def ngens(self) -> int:
         return len(self.generators)

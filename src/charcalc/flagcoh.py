@@ -42,7 +42,6 @@ presentation built here stores that basis, and ``basis_monomials`` and
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -304,23 +303,16 @@ def _reduce_forward(rows: list[dict[int, int]], pivots: dict[int, dict[int, int]
 def _reduce_kept(pivots: dict[int, dict[int, int]], col: int) -> dict[int, int]:
     """A copy of pivot row ``col`` cleared of every other pivot column.
 
-    The smallest remaining pivot column is cleared first, by its unreduced
-    pivot row.  A pivot row holds only columns from its own on, so each
-    elimination adds only larger columns and the loop ends.  The result is
-    the reduced echelon row of ``col`` times its leading entry.
+    The pivot columns after ``col`` are cleared in one ascending sweep, each
+    by its unreduced pivot row.  A pivot row holds only columns from its own
+    on, so clearing column j adds only columns after j, and a column the
+    sweep has passed stays clear.  The result is the reduced echelon row of
+    ``col`` times its leading entry.
     """
     row = dict(pivots[col])
-    queue = [j for j in row if j != col and j in pivots]
-    heapq.heapify(queue)
-    while queue:
-        j = heapq.heappop(queue)
-        if j not in row:
-            continue
-        pivot = pivots[j]
-        _eliminate(row, pivot, j)
-        for k in pivot:
-            if k != j and k in pivots and k in row:
-                heapq.heappush(queue, k)
+    for j in sorted(pivots):
+        if j > col and j in row:
+            _eliminate(row, pivots[j], j)
     return row
 
 

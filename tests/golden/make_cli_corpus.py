@@ -28,7 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 CORPUS = Path(__file__).with_name("cli_corpus.jsonl")
 SEEDS = range(1, 6)
-# argparse wraps its usage text to the terminal width
+# argparse wraps --help text to the terminal width; every error is one line
 COLUMNS = "80"
 
 

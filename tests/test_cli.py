@@ -617,6 +617,43 @@ def test_inverse_series_budget_edges(capsys, monkeypatch):
         assert (code, out, err) == (1, "", "internal error: built\n"), (v, d)
 
 
+# Each integer flag whose type bounds it: a command that ends with the flag, its
+# least value and budget (None for none), and the builder an accepted value
+# reaches.
+TYPED_FLAGS = [
+    (("sym", "--op", "elementary", "--k", "1", "--vars"), 1, 10_000, symfun, "elementary"),
+    (("flag", "--degree", "1", "--inverse-series"), 1, 10_000, flagcoh, "inverse_series"),
+    (("bundle", "--phi"), 1, 10_000, flagcoh, "phi_pullback"),
+    (("equi", "su-product", "--k", "0", "--ell"), 0, 12, equivariant, "su_product_integral"),
+    (("equi", "mu", "--weights", "1,0", "--k", "2", "--n"), 1, None, equivariant, "mu_of_circle"),
+    (("equi", "mu", "--n", "1", "--weights", "1,0", "--k"), 1, None, equivariant, "mu_of_circle"),
+    (("equi", "nu1", "--weights", "1,0", "--vertex", "0", "--n"), 1, None, equivariant,
+     "nu1_at_fixed_point"),
+    (("equi", "simplex", "--alpha", "1", "--n"), 1, None, equivariant, "simplex_integral"),
+    (("equi", "moment", "--weights", "1,0", "--n"), 1, None, equivariant, "normalized_moment"),
+    (("equi", "integral", "--poly", "x1", "--n"), 1, None, equivariant, "moment_integral"),
+]
+
+
+@pytest.mark.parametrize("argv, low, high, module, builder", TYPED_FLAGS,
+                         ids=[f"{a[1] if a[0] == 'equi' else a[0]} {a[-1]}" for a, *_ in TYPED_FLAGS])
+def test_typed_flag_edges(capsys, monkeypatch, argv, low, high, module, builder):
+    def refuse(*_):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(module, builder, refuse)
+    flag = argv[-1]
+    reached = (1, "", "internal error: built\n")
+    for value in (0, low, high):
+        if value is not None:
+            want = reached if value >= low else (2, "", f"error: {flag}: must be at least {low}\n")
+            assert run_cli(capsys, *argv, str(value)) == want, value
+    if high is not None:
+        assert run_cli(capsys, *argv, str(high + 1)) == (
+            2, "", f"error: {flag}: {high + 1} is over the budget of {high}\n"
+        )
+
+
 def test_sphere_factor_budget_edges(capsys, monkeypatch):
     assert cli.MAX_SPHERE_FACTORS == 16
     built = []

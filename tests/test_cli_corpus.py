@@ -64,23 +64,32 @@ def _records() -> list[dict]:
         return [json.loads(line) for line in handle]
 
 
-def _diagnostic(stderr: str) -> str:
-    # argparse's usage block wraps differently across Python versions, so an
-    # argparse error is compared by its last line, which names the flag
-    return stderr.splitlines()[-1] if stderr.startswith("usage:") else stderr
-
-
-def test_cli_corpus_replays_identically(capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
+def test_cli_corpus_replays_identically(capsys):
     mismatches = []
     for record in _records():
         code = cli.run(record["argv"])
         out, err = capsys.readouterr()
-        got = (code, out, _diagnostic(err))
-        want = (record["code"], record["stdout"], _diagnostic(record["stderr"]))
+        got = (code, out, err)
+        want = (record["code"], record["stdout"], record["stderr"])
         if got != want:
             mismatches.append(f"{record['argv']}: got {got!r}, want {want!r}")
     assert not mismatches, "\n".join(mismatches[:5]) + f"\n({len(mismatches)} commands differ)"
+
+
+def test_cli_corpus_refusals_are_one_line_naming_a_flag():
+    # the README's exit codes: every exit-2 diagnostic, the parser's own
+    # included, is one line "error: --flag: reason" naming a flag of the command
+    bad = []
+    for record in _records():
+        if record["code"] != 2:
+            continue
+        flags = {arg.split("=")[0] for arg in record["argv"] if arg.startswith("--")}
+        lines = record["stderr"].splitlines()
+        if len(lines) != 1 or not lines[0].startswith("error: ") or (
+            lines[0].removeprefix("error: ").split(":")[0] not in flags
+        ):
+            bad.append(f"{record['argv']}: {record['stderr']!r}")
+    assert not bad, "\n".join(bad[:5]) + f"\n({len(bad)} refusals are not one line naming a flag)"
 
 
 def test_cli_corpus_covers_its_inputs():
