@@ -12,7 +12,9 @@ Products, powers and normal forms run on packed monomials, laid out as
 one denominator.  Presentations rewrite on such keys and hand integer rows of
 ``NF(p*m)``, and of ``NF(a**k * m)`` for a ladder of powers, to the rank
 questions (``RingPresentation.product_rows`` and ``power_rows``);
-``Fraction``s and ``Monomial``s appear only in results.
+``Fraction``s and ``Monomial``s appear only in results.  The echelon kernel
+on such rows is here too: ``_reduce_forward`` eliminates over the integers
+and returns the rank the rows add; ``_reduce_kept`` gives a reduced row.
 
 No floating point enters anywhere: coefficients are arbitrary-precision
 rationals, reduced and with positive denominator by construction.
@@ -972,6 +974,74 @@ class RingPresentation:
     def __repr__(self) -> str:
         gens = ", ".join(self.ring.generators)
         return f"RingPresentation([{gens}], {len(self.rules)} rules, family={self.family!r})"
+
+
+def _reduce_forward(rows: list[dict[int, int]], pivots: dict[int, dict[int, int]]) -> int:
+    """Echelon integer ``rows`` into ``pivots`` (pivot column -> row) in place.
+
+    The rows are consumed: each is eliminated over the integers, and one that
+    does not reduce to zero is made primitive and becomes a pivot row, in
+    insertion order.  Returns how many rows added a pivot: the rank they add.
+    """
+    before = len(pivots)
+    for current in rows:
+        while current:
+            col = min(current)
+            if col not in pivots:
+                pivots[col] = _make_primitive(current, col)
+                break
+            _eliminate(current, pivots[col], col)
+    return len(pivots) - before
+
+
+def _reduce_kept(pivots: dict[int, dict[int, int]], col: int) -> dict[int, int]:
+    """A copy of pivot row ``col`` cleared of every other pivot column.
+
+    The pivot columns after ``col`` are cleared in one ascending sweep, each
+    by its unreduced pivot row.  A pivot row holds only columns from its own
+    on, so clearing column j adds only columns after j, and a column the
+    sweep has passed stays clear.  The result is the reduced echelon row of
+    ``col`` times its leading entry.
+    """
+    row = dict(pivots[col])
+    for j in sorted(pivots):
+        if j > col and j in row:
+            _eliminate(row, pivots[j], j)
+    return row
+
+
+def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> None:
+    """Clear ``row[col]`` in place: row <- (b/g)*row - (a/g)*pivot.
+
+    Here ``a = row[col]``, ``b = pivot[col]`` and ``g = gcd(a, b)``, so the
+    result stays integral; pivot rows lead with ``b > 0``, so a kept row
+    being reduced keeps a positive leading entry.
+    """
+    a, b = row.pop(col), pivot[col]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    if b != 1:
+        for j in row:
+            row[j] *= b
+    for j, p in pivot.items():
+        if j == col:
+            continue
+        updated = row.get(j, 0) - a * p
+        if updated:
+            row[j] = updated
+        else:
+            row.pop(j, None)
+
+
+def _make_primitive(row: dict[int, int], col: int) -> dict[int, int]:
+    """Divide a row by the gcd of its entries, making ``row[col]`` positive."""
+    g = math.gcd(*row.values())
+    if row[col] < 0:
+        g = -g
+    if g != 1:
+        for j in row:
+            row[j] //= g
+    return row
 
 
 def normal_form(p: GradedPoly, pres: RingPresentation) -> GradedPoly:

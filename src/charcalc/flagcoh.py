@@ -13,10 +13,10 @@ pivot not already covered by a lower-degree rule becomes a rule.  The result
 is a terminating, confluent system on the finitely many degrees that matter
 (everything above the top degree reduces to zero), without any general-purpose
 Groebner machinery.  Each relation is cleared of denominators once, and the
-elimination runs over the integers, fraction-free; only the rules become
-``Fraction`` polynomials.  Monomials and relations are packed on the keys of
-one ``exactring.HeadIndex``, whose docstring gives the layout and which holds
-the rule heads found so far.
+elimination, ``exactring``'s echelon kernel, runs over the integers,
+fraction-free; only the rules become ``Fraction`` polynomials.  Monomials and
+relations are packed on the keys of one ``exactring.HeadIndex``, whose
+docstring gives the layout and which holds the rule heads found so far.
 
 Not every multiple is eliminated.  Rows enter in relation order, and the
 multiple ``m*r_i`` is left out when ``m`` is a leading monomial of the span
@@ -56,6 +56,8 @@ from .exactring import (
     Monomial,
     PresentationError,
     RingPresentation,
+    _reduce_forward,
+    _reduce_kept,
     monomials_of_degree,
 )
 
@@ -282,72 +284,6 @@ def _rref_rules(
             rules[lhs] = GradedPoly(ring, rhs)
             heads.add(keys[col])
     return rules
-
-
-def _reduce_forward(rows: list[dict[int, int]], pivots: dict[int, dict[int, int]]) -> None:
-    """Echelon integer ``rows`` into ``pivots`` (pivot column -> row) in place.
-
-    The rows are consumed: each is eliminated over the integers, and one that
-    does not reduce to zero is made primitive and becomes a pivot row, in
-    insertion order.
-    """
-    for current in rows:
-        while current:
-            col = min(current)
-            if col not in pivots:
-                pivots[col] = _make_primitive(current, col)
-                break
-            _eliminate(current, pivots[col], col)
-
-
-def _reduce_kept(pivots: dict[int, dict[int, int]], col: int) -> dict[int, int]:
-    """A copy of pivot row ``col`` cleared of every other pivot column.
-
-    The pivot columns after ``col`` are cleared in one ascending sweep, each
-    by its unreduced pivot row.  A pivot row holds only columns from its own
-    on, so clearing column j adds only columns after j, and a column the
-    sweep has passed stays clear.  The result is the reduced echelon row of
-    ``col`` times its leading entry.
-    """
-    row = dict(pivots[col])
-    for j in sorted(pivots):
-        if j > col and j in row:
-            _eliminate(row, pivots[j], j)
-    return row
-
-
-def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> None:
-    """Clear ``row[col]`` in place: row <- (b/g)*row - (a/g)*pivot.
-
-    Here ``a = row[col]``, ``b = pivot[col]`` and ``g = gcd(a, b)``, so the
-    result stays integral; pivot rows lead with ``b > 0``, so a kept row
-    being reduced keeps a positive leading entry.
-    """
-    a, b = row.pop(col), pivot[col]
-    g = math.gcd(a, b)
-    a, b = a // g, b // g
-    if b != 1:
-        for j in row:
-            row[j] *= b
-    for j, p in pivot.items():
-        if j == col:
-            continue
-        updated = row.get(j, 0) - a * p
-        if updated:
-            row[j] = updated
-        else:
-            row.pop(j, None)
-
-
-def _make_primitive(row: dict[int, int], col: int) -> dict[int, int]:
-    """Divide a row by the gcd of its entries, making ``row[col]`` positive."""
-    g = math.gcd(*row.values())
-    if row[col] < 0:
-        g = -g
-    if g != 1:
-        for j in row:
-            row[j] //= g
-    return row
 
 
 def basis_monomials(pres: RingPresentation, degree: int) -> list[Monomial]:

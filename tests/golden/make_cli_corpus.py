@@ -73,6 +73,9 @@ COVERAGE = [
     ["poly", "--gens", "y0:2,y1:2", "--a", "y0+y1", "--op", "pow", "--e", "1414"],
     ["bundle", "--space", "sphere:" + ",".join(["2"] * 17)],
     ["obstruct", "dims", "--space", "sphere:" + ",".join(["2"] * 24), "--degree", "2"],
+    ["obstruct", "hl", "--space", "sphere:" + ",".join(["2"] * 16),
+     "--class", " + ".join(f"{i + 1}*y{i}" for i in range(16))],
+    ["obstruct", "hl", "--space", "sphere:2,4", "--class", "y0"],
 ]
 
 

@@ -20,6 +20,7 @@ from charcalc.exactring import (
     PresentationError,
     RingMismatchError,
     RingPresentation,
+    _reduce_forward,
     fiber_coefficient,
     format_rational,
     graded_component,
@@ -35,11 +36,16 @@ from charcalc.flagcoh import basis_monomials, grassmannian_presentation, project
 
 from conftest import (
     clear_denominators,
+    dense_pivots,
     enumerated_basis,
     evaluate,
+    fraction_row_reduce,
     fraction_rule_presentation,
+    kept_row_reduce,
     monomial_normal_form,
+    random_dense_matrix,
     random_poly,
+    row_reduce,
 )
 
 
@@ -1065,3 +1071,78 @@ def test_power_rows_size_the_kernel_once_and_climb_lazily(monkeypatch):
     assert next(ladder) and len(products) == 1
     assert [len(rows) for rows in ladder] == [1, 1, 1] and len(products) == 4
     assert pres._kernel is kernel
+
+
+# -- the echelon kernel against Fraction and dense elimination -------------------
+
+
+def test_row_reduce_agrees_with_dense_oracle(rng):
+    for _ in range(150):
+        height, width = rng.randint(0, 12), rng.randint(1, 12)
+        rows = random_dense_matrix(rng, height, width)
+        sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
+        pivots = row_reduce(sparse)
+        assert_same_pivots(pivots, fraction_row_reduce(sparse))
+        assert_same_pivots(kept_row_reduce(sparse), pivots)
+        assert len(pivots) == len(dense_pivots(rows, width))
+        for col, row in pivots.items():
+            assert row[col] == 1
+            assert all(not row.get(other) for other in pivots if other != col)
+        # the rank each call adds, as the rank questions read it
+        half = height // 2
+        forward = {}
+        first = _reduce_forward([clear_denominators(row) for row in sparse[:half]], forward)
+        assert first == len(forward) == len(dense_pivots(rows[:half], width))
+        second = _reduce_forward([clear_denominators(row) for row in sparse[half:]], forward)
+        assert first + second == len(pivots)
+
+
+def assert_same_pivots(got, expected):
+    assert got == expected
+    assert all(type(c) is Fraction for row in got.values() for c in row.values())
+
+
+def test_row_reduce_matches_fraction_kernel_on_large_entries(rng):
+    # entries p/q with |p|, q up to 2^40 exercise the denominator and content gcds
+    for _ in range(60):
+        height, width = rng.randint(1, 8), rng.randint(1, 8)
+        rows = []
+        for _ in range(height):
+            if rows and rng.random() < 0.2:
+                rows.append(dict(rng.choice(rows)))
+                continue
+            row = {}
+            for j in range(width):
+                if rng.random() < 0.5:
+                    bits = rng.choice((3, 20, 40))
+                    p = rng.randint(-(2 ** bits), 2 ** bits)
+                    if p:
+                        row[j] = Fraction(p, rng.randint(1, 2 ** bits))
+            rows.append(row)
+        assert_same_pivots(row_reduce(rows), fraction_row_reduce(rows))
+        assert_same_pivots(kept_row_reduce(rows), fraction_row_reduce(rows))
+
+
+def test_row_reduce_matches_fraction_kernel_on_edge_cases():
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+    cases = [
+        [],
+        [{}],
+        [{}, {}, {}],
+        [{0: half, 2: third}, {0: half, 2: third}],
+        [{1: third}, {}, {1: third}, {0: half, 1: half}],
+        [{0: Fraction(2), 1: Fraction(-4)}, {0: Fraction(3), 2: Fraction(6)}],
+        [{0: 2, 1: -4, 3: 6}, {1: 3, 2: 9}, {0: -5, 3: 1}],
+        [{0: 6, 1: 4}, {0: 9, 1: 6}],
+    ]
+    for rows in cases:
+        assert_same_pivots(row_reduce(rows), fraction_row_reduce(rows))
+        assert_same_pivots(kept_row_reduce(rows), fraction_row_reduce(rows))
+    assert row_reduce([]) == {}
+    assert row_reduce([{}, {}]) == {}
+    # by hand: the row space is the orthogonal complement of (1/5, 8/5, -8/15, 1)
+    assert row_reduce([{0: 2, 1: -4, 3: 6}, {1: 3, 2: 9}, {0: -5, 3: 1}]) == {
+        0: {0: 1, 3: Fraction(-1, 5)},
+        1: {1: 1, 3: Fraction(-8, 5)},
+        2: {2: 1, 3: Fraction(8, 15)},
+    }

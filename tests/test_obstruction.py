@@ -2,21 +2,18 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from charcalc.exactring import (
     GradedPoly,
     InvalidInputError,
+    RingPresentation,
     monomials_of_degree,
 )
-from charcalc import exactring, flagcoh, obstruction
+from charcalc import exactring
 from charcalc.cli import _parse_space
 from charcalc.flagcoh import (
-    _eliminate,
-    _make_primitive,
-    _reduce_forward,
-    _reduce_kept,
     flag_presentation,
     grassmannian_presentation,
     point_presentation,
@@ -34,10 +31,12 @@ from charcalc.obstruction import (
 )
 
 from conftest import (
-    clear_denominators,
+    dense_in_span,
     enumerated_basis,
+    fraction_row_reduce,
     fraction_rule_presentation,
     is_reducible,
+    random_dense_matrix,
     sparse_row,
 )
 
@@ -49,6 +48,15 @@ def projective_space(n):
 
 def product_of_spheres():
     return sphere_product_ring([2, 2], names=("s1", "s2"))
+
+
+def eliminating(pres):
+    """A copy of ``pres`` in the custom family, on which hard Lefschetz is
+    answered by elimination rather than by a family's closed form."""
+    return RingPresentation(
+        pres.ring, pres.rules, relations=pres.relations, family="custom",
+        top_degree=pres.top_degree, basis=pres.basis,
+    )
 
 
 # -- degree bases ----------------------------------------------------------------
@@ -89,8 +97,8 @@ def test_membership_shortcuts_skip_elimination(monkeypatch):
     def refuse(*_):
         raise AssertionError("a membership shortcut eliminated")
 
-    monkeypatch.setattr(flagcoh, "_reduce_forward", refuse)
-    monkeypatch.setattr(obstruction, "_reduce_forward", refuse)
+    monkeypatch.setattr(exactring, "_eliminate", refuse)
+    monkeypatch.setattr(exactring, "_make_primitive", refuse)
     assert ideal_membership(c ** 3, [c ** 2], pres)
     assert ideal_membership(pres.ring.zero(), [c], pres)
     with pytest.raises(InvalidInputError, match="generators must be homogeneous"):
@@ -117,127 +125,6 @@ def test_membership_requires_homogeneous():
     c = pres.ring.gen(0)
     with pytest.raises(InvalidInputError):
         ideal_membership(c + c ** 2, [c], pres)
-
-
-def dense_pivots(rows, width):
-    """Oracle: forward elimination on dense rows; pivot column -> normalized row."""
-    pivots = {}
-    for row in rows:
-        current = list(row)
-        for col in range(width):
-            if not current[col]:
-                continue
-            if col in pivots:
-                factor = current[col]
-                current = [a - factor * b for a, b in zip(current, pivots[col])]
-            else:
-                inv = Fraction(1) / current[col]
-                pivots[col] = [a * inv for a in current]
-                break
-    return pivots
-
-
-def dense_in_span(rows, target):
-    """Oracle: is the dense target in the row span of the dense rows?"""
-    pivots = dense_pivots(rows, len(target))
-    current = list(target)
-    for col in range(len(target)):
-        if not current[col]:
-            continue
-        if col not in pivots:
-            return False
-        factor = current[col]
-        current = [a - factor * b for a, b in zip(current, pivots[col])]
-    return not any(current)
-
-
-def _back_substitute(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]:
-    """Reduced echelon form of forward-eliminated ``pivots``, which are reduced
-    against each other in place; rows are divided by their leading entries
-    only once, at the end."""
-    order = sorted(pivots)
-    for k in range(len(order) - 1, 0, -1):
-        col = order[k]
-        row = pivots[col]
-        for other_col in order[:k]:
-            other = pivots[other_col]
-            if col in other:
-                _eliminate(other, row, col)
-                _make_primitive(other, other_col)
-    return {
-        col: {j: Fraction(c, row[col]) for j, c in row.items()}
-        for col, row in pivots.items()
-    }
-
-
-def forward_pivots(rows):
-    """Integer pivot rows of forward elimination; each row is cleared of
-    denominators first, and the given rows are left as they are."""
-    pivots = {}
-    _reduce_forward([clear_denominators(row) for row in rows], pivots)
-    return pivots
-
-
-def row_reduce(rows):
-    """Oracle: the reduced row echelon form by forward elimination into
-    integer pivot rows, then back-substitution of every pivot row; pivot
-    column -> row."""
-    return _back_substitute(forward_pivots(rows))
-
-
-def kept_row_reduce(rows):
-    """The reduced row echelon form as the completion computes a kept rule:
-    ``_reduce_kept`` on each pivot row alone, divided by its leading entry."""
-    pivots = forward_pivots(rows)
-    reduced = {}
-    for col in pivots:
-        row = _reduce_kept(pivots, col)
-        reduced[col] = {j: Fraction(c, row[col]) for j, c in row.items()}
-    return reduced
-
-
-def fraction_row_reduce(rows):
-    """Oracle: the reduced row echelon form computed over Fractions throughout."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        current = dict(row)
-        while current:
-            col = min(current)
-            value = current[col]
-            if col in pivots:
-                del current[col]
-                for j, b in pivots[col].items():
-                    if j == col:
-                        continue
-                    updated = current.get(j, Fraction(0)) - value * b
-                    if updated:
-                        current[j] = updated
-                    else:
-                        current.pop(j, None)
-            else:
-                inv = Fraction(1) / value
-                pivots[col] = {j: c * inv for j, c in current.items()}
-                break
-    # back-substitute so every pivot row is reduced against the others
-    for col in sorted(pivots, reverse=True):
-        row = pivots[col]
-        for other_col in sorted(pivots):
-            if other_col >= col:
-                break
-            other = pivots[other_col]
-            value = other.get(col)
-            if not value:
-                continue
-            del other[col]
-            for j, b in row.items():
-                if j == col:
-                    continue
-                updated = other.get(j, Fraction(0)) - value * b
-                if updated:
-                    other[j] = updated
-                else:
-                    other.pop(j, None)
-    return pivots
 
 
 def brute_force_membership(z, gens, pres):
@@ -276,29 +163,7 @@ def test_membership_agrees_with_brute_force(rng):
             assert ideal_membership(z, gens, pres) == brute_force_membership(z, gens, pres)
 
 
-def random_dense_matrix(rng, height, width):
-    """Dense rows of mostly-zero Fractions, with some repeated, zero and combined rows."""
-    rows = []
-    for _ in range(height):
-        kind = rng.random()
-        if rows and kind < 0.15:
-            rows.append(list(rng.choice(rows)))
-        elif kind < 0.25:
-            rows.append([Fraction(0)] * width)
-        elif len(rows) >= 2 and kind < 0.35:
-            a, b = rng.sample(rows, 2)
-            t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            rows.append([x + t * y for x, y in zip(a, b)])
-        else:
-            rows.append([
-                Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.3
-                else Fraction(0)
-                for _ in range(width)
-            ])
-    return rows
-
-
-def test_row_reduce_agrees_with_dense_oracle(rng):
+def test_membership_agrees_with_dense_oracle(rng):
     # In a product of two-spheres the degree-2 component has the generators
     # as its basis, and a linear generator has only the multiplier 1, so
     # ideal membership there is exactly span membership of coefficient rows.
@@ -306,15 +171,6 @@ def test_row_reduce_agrees_with_dense_oracle(rng):
     for _ in range(150):
         height, width = rng.randint(0, 12), rng.randint(1, 12)
         rows = random_dense_matrix(rng, height, width)
-        sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
-        pivots = row_reduce(sparse)
-        assert_same_pivots(pivots, fraction_row_reduce(sparse))
-        assert_same_pivots(kept_row_reduce(sparse), pivots)
-        assert len(pivots) == len(dense_pivots(rows, width))
-        for col, row in pivots.items():
-            assert row[col] == 1
-            assert all(not row.get(other) for other in pivots if other != col)
-
         if width not in spheres:
             spheres[width] = sphere_product_ring([2] * width)
         pres = spheres[width]
@@ -333,57 +189,6 @@ def test_row_reduce_agrees_with_dense_oracle(rng):
             target = [Fraction(rng.randint(-2, 2)) for _ in range(width)]
         gens = [linear(row) for row in rows]
         assert ideal_membership(linear(target), gens, pres) == dense_in_span(rows, target)
-
-
-def assert_same_pivots(got, expected):
-    assert got == expected
-    assert all(type(c) is Fraction for row in got.values() for c in row.values())
-
-
-def test_row_reduce_matches_fraction_kernel_on_large_entries(rng):
-    # entries p/q with |p|, q up to 2^40 exercise the denominator and content gcds
-    for _ in range(60):
-        height, width = rng.randint(1, 8), rng.randint(1, 8)
-        rows = []
-        for _ in range(height):
-            if rows and rng.random() < 0.2:
-                rows.append(dict(rng.choice(rows)))
-                continue
-            row = {}
-            for j in range(width):
-                if rng.random() < 0.5:
-                    bits = rng.choice((3, 20, 40))
-                    p = rng.randint(-(2 ** bits), 2 ** bits)
-                    if p:
-                        row[j] = Fraction(p, rng.randint(1, 2 ** bits))
-            rows.append(row)
-        assert_same_pivots(row_reduce(rows), fraction_row_reduce(rows))
-        assert_same_pivots(kept_row_reduce(rows), fraction_row_reduce(rows))
-
-
-def test_row_reduce_matches_fraction_kernel_on_edge_cases():
-    half, third = Fraction(1, 2), Fraction(-2, 3)
-    cases = [
-        [],
-        [{}],
-        [{}, {}, {}],
-        [{0: half, 2: third}, {0: half, 2: third}],
-        [{1: third}, {}, {1: third}, {0: half, 1: half}],
-        [{0: Fraction(2), 1: Fraction(-4)}, {0: Fraction(3), 2: Fraction(6)}],
-        [{0: 2, 1: -4, 3: 6}, {1: 3, 2: 9}, {0: -5, 3: 1}],
-        [{0: 6, 1: 4}, {0: 9, 1: 6}],
-    ]
-    for rows in cases:
-        assert_same_pivots(row_reduce(rows), fraction_row_reduce(rows))
-        assert_same_pivots(kept_row_reduce(rows), fraction_row_reduce(rows))
-    assert row_reduce([]) == {}
-    assert row_reduce([{}, {}]) == {}
-    # by hand: the row space is the orthogonal complement of (1/5, 8/5, -8/15, 1)
-    assert row_reduce([{0: 2, 1: -4, 3: 6}, {1: 3, 2: 9}, {0: -5, 3: 1}]) == {
-        0: {0: 1, 3: Fraction(-1, 5)},
-        1: {1: 1, 3: Fraction(-8, 5)},
-        2: {2: 1, 3: Fraction(8, 15)},
-    }
 
 
 # -- the square and cube criteria ------------------------------------------------
@@ -519,6 +324,7 @@ def test_hard_lefschetz_matches_expanded_powers(rng):
         (flag_presentation((1, 1, 1)), 3),
         (flag_presentation((2, 1, 1)), 5),
         (grassmannian_presentation(3, 2), 6),
+        (eliminating(sphere_product_ring([2, 2, 2])), 3),
     ]
     for pres, n in spaces:
         degree_two = [g for g, d in zip(pres.ring.gens(), pres.ring.degrees) if d == 2]
@@ -563,6 +369,12 @@ def spheres(r):
     return sphere_product_ring([2] * r)
 
 
+@functools.lru_cache(maxsize=None)
+def sphere_products(dims):
+    pres = sphere_product_ring(dims)
+    return pres, eliminating(pres)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=8))
 def test_hard_lefschetz_on_two_spheres_needs_every_weight(weights):
@@ -577,10 +389,33 @@ def test_hard_lefschetz_on_two_spheres_needs_every_weight(weights):
     assert hard_lefschetz_check(pres, a, len(weights)) == all(weights)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((2, 2, 2, 4, 6)), st.integers(-3, 3)),
+                min_size=1, max_size=10))
+@example([(2, w) for w in range(1, 11)])
+@example([(2, 1)] * 9 + [(2, 0)])
+@example([(2, 1), (4, 0), (2, -2)])
+@example([(6, 0), (2, 3)])
+def test_hard_lefschetz_closed_form_matches_elimination(factors):
+    """On a product of spheres of dimensions 2, 4 and 6, the closed form
+    answers as the elimination does on a custom copy of the presentation;
+    below half the top degree the product is not answered in closed form."""
+    pres, custom = sphere_products(tuple(d for d, _ in factors))
+    a = pres.ring.zero()
+    for y, (d, w) in zip(pres.ring.gens(), factors):
+        if d == 2:
+            a = a + y.scale(w)
+    assume(not a.is_zero())
+    half = pres.top_degree // 2
+    for n in (half, half - 1):
+        assert hard_lefschetz_check(pres, a, n) == hard_lefschetz_check(custom, a, n)
+
+
 def test_hard_lefschetz_multiplies_once_per_rung(monkeypatch):
-    """On seven 2-spheres the check climbs NF(a), ..., NF(a^7): six products,
-    one per rung after the first, where raising each a**k anew takes more."""
-    pres = spheres(7)
+    """On seven 2-spheres, as a custom presentation, the elimination climbs
+    NF(a), ..., NF(a^7): six products, one per rung after the first, where
+    raising each a**k anew takes more."""
+    pres = eliminating(spheres(7))
     a = pres.ring.zero()
     for i, y in enumerate(pres.ring.gens()):
         a = a + y.scale(i + 1)
@@ -603,12 +438,12 @@ def test_rank_questions_never_back_substitute(monkeypatch):
     gr = grassmannian_presentation(2, 2)
     cp2 = projective_space(2)
     cp3 = projective_space(3)
-    spheres = product_of_spheres()
+    spheres = eliminating(product_of_spheres())
 
     def refuse(pivots, col):
         raise AssertionError("reduced rows are not needed for a rank")
 
-    monkeypatch.setattr(flagcoh, "_reduce_kept", refuse)
+    monkeypatch.setattr(exactring, "_reduce_kept", refuse)
     y1, y2 = gr.ring.gens()
     assert ideal_membership(y1 * y2, [y2], gr)
     assert not ideal_membership(y1 ** 2, [y2], gr)
