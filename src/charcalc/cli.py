@@ -77,7 +77,8 @@ OP_REGISTRY = {
 }
 
 
-# Largest n accepted for --space cpN / cpn:N, checked before any list is built.
+# Largest n accepted for --space cpN / cpn:N, and for the fiber dimension N of
+# --space pe:N,K, checked before any list is built.
 MAX_PROJECTIVE_DIM = 10_000
 # Most factors of --space sphere:...; the ring builds and checks all 2^r
 # square-free basis monomials before any query.
@@ -179,6 +180,9 @@ def _parse_space(text: str) -> RingPresentation:
         dims = _parse_int_list(spec[len("pe:"):], "--space")
         if len(dims) != 2:
             raise InvalidInputError("--space: pe takes fiber dimension and base half-dimension")
+        if dims[0] > MAX_PROJECTIVE_DIM:
+            raise InvalidInputError(
+                f"--space: fiber dimension {dims[0]} is over the budget of {MAX_PROJECTIVE_DIM}")
         return _from_flag("--space", _sphere_base_bundle, dims[0], dims[1])
     raise InvalidInputError(f"--space: unknown space {text!r}")
 
@@ -564,10 +568,30 @@ def _cmd_paper(args) -> tuple[dict, int]:
 class _Parser(argparse.ArgumentParser):
     """A parser whose errors take the one path every CLI error takes: an
     ``InvalidInputError`` that ``run`` prints as one ``error: --flag: reason``
-    line, in place of argparse's usage block."""
+    line, in place of argparse's usage block.  At a subcommand position it names
+    the first option there the parser does not know, or else ``<subcommand>``."""
+
+    _seen: Sequence[str] = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._seen = sys.argv[1:] if args is None else args
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str):
-        raise InvalidInputError(message.removeprefix("argument "))
+        message = message.removeprefix("argument ")
+        commands = self._get_positional_actions()  # the subcommand, in a parser that has one
+        if message.startswith("unrecognized arguments: "):
+            message = f"{message.split()[2].split('=')[0]}: unrecognized argument"
+        elif commands and commands[0].dest in (message.split(":")[0], message.split()[-1]):
+            unknown = [a.split("=")[0] for a in self._seen
+                       if a.startswith("-") and a.split("=")[0] not in self._option_string_actions]
+            if unknown:
+                message = f"{unknown[0]}: {self.prog} takes a subcommand before it"
+            else:  # "<dest>: invalid choice: 'x' (choose from ...)" or "... required: <dest>"
+                reason = message.partition(": ")[2].split(" (")[0]
+                message = f"<subcommand>: {'required' if message.endswith(commands[0].dest) else reason}"
+            message += f" (choose from {', '.join(commands[0].choices)})"
+        raise InvalidInputError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -507,7 +507,8 @@ class GradedPoly:
 
 class _Power(GradedPoly):
     """``base ** exponent``, the base of two or more terms.  ``terms`` is expanded
-    in the free ring on first read; a presentation reduces the power unexpanded."""
+    in the free ring on first read, in closed form for a linear form in distinct
+    generators; a presentation reduces the power unexpanded."""
 
     __slots__ = ("base", "exponent")
 
@@ -557,15 +558,61 @@ def _packed_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 
 def _expand_power(p: GradedPoly, exponent: int) -> dict[Monomial, Fraction]:
-    """The terms of ``p ** exponent`` in the free ring: the base, multiplied into
-    the running power ``exponent - 1`` times, which for a sparse base takes fewer
-    coefficient products than squaring (Fateman 1974)."""
+    """The terms of ``p ** exponent`` in the free ring.  A linear form in distinct
+    generators takes the multinomial closed form, ``_linear_power``; any other
+    base is multiplied into the running power ``exponent - 1`` times, which for a
+    sparse base takes fewer coefficient products than squaring (Fateman 1974)."""
     width = (exponent * _max_exponent(p)).bit_length()
     base, den = _pack(p, width)
-    result = base if exponent else {0: 1}
-    for _ in range(exponent - 1):
-        result = _packed_mul(result, base)
+    if _linear_generators(p):
+        result = _linear_power(base, exponent)
+    else:
+        result = base if exponent else {0: 1}
+        for _ in range(exponent - 1):
+            result = _packed_mul(result, base)
     return _unpack(p.ring, result, den**exponent, width).terms
+
+
+def _linear_generators(p: GradedPoly) -> list[int]:
+    """The generators of ``p``'s terms if each is one to the first power, else []."""
+    gens = [m.exps[0][0] for m in p.terms if len(m.exps) == 1 and m.exps[0][1] == 1]
+    return gens if len(gens) == len(p.terms) else []
+
+
+def _linear_power(base: dict[int, int], exponent: int, caps=None, find=None) -> dict[int, int]:
+    """The numerators of ``(sum n_i u_i) ** exponent`` for ``base = {u_i: n_i}``, each
+    u_i the packed key of a distinct generator: u^a for each |a| = exponent, with
+    exponent!/prod(a_i!) * prod(n_i ** a_i).  The walk fixes a_1, then a_2, ...,
+    each from largest to smallest: the order in which the ladder first meets the
+    terms.  ``caps[i]`` bounds a_i, a branch the later caps cannot fill ends, and
+    a prefix that ``find`` divides by a head is dropped with its multiples."""
+    gens = [(u, [n**a for a in range(min(cap, exponent) + 1)], cap)
+            for (u, n), cap in zip(base.items(), caps or itertools.repeat(exponent)) if cap]
+    room = list(itertools.accumulate([cap for *_, cap in reversed(gens)], initial=0))[::-1]
+    out: dict[int, int] = {} if exponent else {0: 1}
+
+    def walk(start: int, left: int, key: int, c: int) -> None:
+        # the terms key * u^b, |b| = left, b zero before start; leaves at a == left
+        if left == 1 and find is None:
+            for u, powers, _ in gens[start:]:
+                out[key + u] = c * powers[1]
+            return
+        for j in range(start, len(gens)):
+            if room[j] < left:
+                break
+            u, powers, cap = gens[j]
+            for a in range(min(left, cap), max(left - room[j + 1], 1) - 1, -1):
+                k = key + a * u
+                if find is not None and find(k) is not None:
+                    continue
+                if a == left:
+                    out[k] = c * powers[a]
+                else:
+                    walk(j + 1, left - a, k, c * math.comb(left, a) * powers[a])
+
+    if 0 < exponent <= room[0]:
+        walk(0, exponent, 0, 1)
+    return out
 
 
 def _unpack(ring: GradedRing, packed: dict[int, int], den: int, width: int) -> GradedPoly:
@@ -698,7 +745,8 @@ class _Rewriter:
     reaches an exponent its field cannot hold.  Right-hand sides are cleared
     of denominators once; ``cache`` maps a key to its normal form as integer
     numerators by output key over one positive denominator, and ``monomials``
-    turns output keys back into ``Monomial``s.
+    turns output keys back into ``Monomial``s.  If every rule is m -> 0, ``caps``
+    maps the generator of each pure-power head y^(c+1) to c; else it is None.
     """
 
     def __init__(self, pres: "RingPresentation", degree: int):
@@ -707,6 +755,8 @@ class _Rewriter:
         self.rules = {heads.key(lhs): heads.pack(rhs) for lhs, rhs in pres.rules.items()}
         for head in self.rules:
             heads.add(head)
+        self.caps = None if any(rhs for rhs, _ in self.rules.values()) else {
+            lhs.exps[0][0]: lhs.exps[0][1] - 1 for lhs in pres.rules if len(lhs.exps) == 1}
         self.cache: dict[int, tuple[dict[int, int], int]] = {}
         self.monomials: dict[int, Monomial] = {}
 
@@ -887,14 +937,20 @@ class RingPresentation:
     def _reduced(self, p: GradedPoly, degree: int = 0) -> tuple[_Rewriter, dict[int, int], int]:
         """The kernel, fit for ``p`` and for keys up to ``degree``, and NF(p) as
         integer numerators by key over one positive denominator.  A deferred
-        power is never expanded: it climbs the ladder of its reduced base, one
-        product and normal form a rung under one rewrite budget, and stops at
-        the first zero rung.  A base with a constant term never reaches one, so
-        its cost grows linearly in the exponent."""
+        power is never expanded.  If every rule is m -> 0 and its base is a linear
+        form in generators with pure-power heads (sphere products, CP^n), it is
+        ``_linear_power`` under the heads' caps.  Otherwise it climbs the ladder
+        of its reduced base, one product and normal form a rung under one rewrite
+        budget, stopping at the first zero rung, which a base with a constant
+        term never reaches."""
         base, e = (p.base, p.exponent) if p.__class__ is _Power else (p, 1)
         kernel = self._rewriter(max(p.degree(), degree))
-        budget = [REWRITE_LIMIT]
         packed, den = kernel.heads.pack(base)
+        caps = kernel.caps  # a head no cap stands for is filtered by find
+        if caps and (gens := _linear_generators(base)) and all(i in caps for i in gens):
+            find = kernel.heads.find if len(caps) < len(kernel.rules) else None
+            return kernel, _linear_power(packed, e, [caps[i] for i in gens], find), den**e
+        budget = [REWRITE_LIMIT]
         base, nf_den = kernel.combine(packed.items(), budget)
         ladder = kernel.powers(base, den * nf_den, budget)
         terms, den = {0: 1}, 1

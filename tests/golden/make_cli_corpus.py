@@ -9,8 +9,8 @@ stderr, as ``cli.run`` produces them in one process with ``COLUMNS=80``.
 The commands are the distinct ``cli_cold.round_commands`` of seeds 1-5, the
 inputs of ``test_validation_exit_codes``, and ``--output text`` variants of
 the fixed commands and of the first command of each seeded shape, then one
-small command for each mode none of those reach and each budget's just-over
-input (``COVERAGE``).  New commands are appended, so earlier lines keep their
+small command for each mode none of those reach, each budget's just-over
+input and the refusals at a subcommand position (``COVERAGE``).  New commands are appended, so earlier lines keep their
 place.
 ``tests/test_cli_corpus.py`` replays the file and never rewrites it; a
 declared output change reruns this script and names the lines it changed.
@@ -32,7 +32,8 @@ SEEDS = range(1, 6)
 COLUMNS = "80"
 
 
-# One successful command per mode, then each budget's smallest refused input.
+# One successful command per mode, then each budget's smallest refused input,
+# then the refusals at a subcommand position.
 COVERAGE = [
     ["sym", "--op", "monomial", "--partition", "2,1", "--vars", "3"],
     ["sym", "--op", "elementary", "--k", "2", "--vars", "4"],
@@ -76,6 +77,14 @@ COVERAGE = [
     ["obstruct", "hl", "--space", "sphere:" + ",".join(["2"] * 16),
      "--class", " + ".join(f"{i + 1}*y{i}" for i in range(16))],
     ["obstruct", "hl", "--space", "sphere:2,4", "--class", "y0"],
+    ["obstruct", "dims", "--space", "pe:10000,1", "--degree", "2"],
+    ["obstruct", "dims", "--space", "pe:10001,1", "--degree", "2"],
+    ["--seed", "1", "paper"],
+    ["equi", "--n", "1"],
+    [],
+    ["equi"],
+    ["nosuch"],
+    ["paper", "--seed", "1"],
 ]
 
 

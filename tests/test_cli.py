@@ -332,6 +332,32 @@ def test_projective_budget_edge_is_accepted(capsys):
     code, out, _ = run_cli(capsys, "bundle", "--space", "cp10000", "--emit", "dims")
     assert code == 0
     assert json.loads(out)["total"] == 10_001
+    # pe:N,K has the same bound on its fiber dimension N, checked before the build
+    code, out, _ = run_cli(capsys, "bundle", "--space", "pe:10000,1", "--emit", "dims")
+    assert code == 0
+    assert json.loads(out)["total"] == 20_002
+    for n in ("10001", "9" * 40):
+        assert run_cli(capsys, "obstruct", "dims", "--space", f"pe:{n},1", "--degree", "2") == (
+            2, "", f"error: --space: fiber dimension {n} is over the budget of 10000\n")
+
+
+def test_subcommand_position_errors_name_the_option_or_the_position(capsys):
+    """argparse's dests (command, equi_op, obstruct_op) never reach the user: an
+    unknown option before the subcommand is named, or else <subcommand>."""
+    commands = "(choose from poly, sym, chern, flag, bundle, mu, equi, obstruct, paper)"
+    equi = "(choose from mu, su-product, nu1, simplex, moment, integral)"
+    cases = [
+        (["--seed", "1", "paper"], f"--seed: charcalc takes a subcommand before it {commands}"),
+        (["--output=text", "--seed=1", "paper"], "--seed: unrecognized argument"),
+        (["equi", "--n", "1"], f"--n: charcalc equi takes a subcommand before it {equi}"),
+        ([], f"<subcommand>: required {commands}"),
+        (["--output", "text"], f"<subcommand>: required {commands}"),
+        (["equi"], f"<subcommand>: required {equi}"),
+        (["equi", "nosuch"], f"<subcommand>: invalid choice: 'nosuch' {equi}"),
+        (["paper", "--seed", "1"], "--seed: unrecognized argument"),
+    ]
+    for argv, line in cases:
+        assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n"), argv
 
 
 def test_sym_weight_budget_edge_is_accepted(capsys):
@@ -571,16 +597,19 @@ def test_power_work_budget_edges(capsys, monkeypatch):
 
 def test_power_work_budget_bounds_the_coefficient_products(monkeypatch):
     """At each edge the budget accepts, the power takes at most e x C(e + g - 1,
-    g - 1) coefficient products, len(a) x len(b) for each ``_packed_mul``.  The
-    ladder's rung k has C(k + g - 1, g - 1) terms here, nothing merging, so it
-    takes g x (C(e + g - 1, g) - 1) in all."""
+    g - 1) coefficient products, len(a) x len(b) for each ``_packed_mul``.  A
+    linear form takes none: its power is the multinomial closed form.  With one
+    generator squared the base climbs the ladder, whose rung k has
+    C(k + g - 1, g - 1) terms, nothing merging, so it takes
+    g x (C(e + g - 1, g) - 1) in all."""
     ring = cli._parse_gens(",".join(f"y{i}:2" for i in range(12)))
     twelve = " + ".join(f"{i + 1}/{i % 3 + 1}*y{i}" for i in range(12))
     products = []
     real = exactring._packed_mul
     monkeypatch.setattr(exactring, "_packed_mul",
                         lambda a, b: products.append(len(a) * len(b)) or real(a, b))
-    for a, e in [("y0+y1", 1413), ("y0+2*y1+3*y2", 157), (twelve, 9), ("2*y0", 2 * 10**6)]:
+    edges = [("y0+y1", 1413), ("y0+2*y1+3*y2", 157), (twelve, 9), ("2*y0", 2 * 10**6)]
+    for a, e in edges + [(a + "^2", e) for a, e in edges[:3]]:
         p = exactring.parse_poly(ring, a)
         g = len(p.terms)
         bound = e * math.comb(e + g - 1, g - 1)
@@ -588,7 +617,8 @@ def test_power_work_budget_bounds_the_coefficient_products(monkeypatch):
         products.clear()
         assert len((p**e).terms) == math.comb(e + g - 1, g - 1)
         assert sum(products) <= bound, a
-        assert sum(products) == (g * (math.comb(e + g - 1, g) - 1) if g > 1 else 0), a
+        ladder = g > 1 and a.endswith("^2")
+        assert sum(products) == (g * (math.comb(e + g - 1, g) - 1) if ladder else 0), a
 
 
 def test_inverse_series_budget_edges(capsys, monkeypatch):

@@ -5,7 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from charcalc import exactring
@@ -940,17 +940,19 @@ def test_quotient_power_shares_one_rewrite_budget(monkeypatch):
 
 def test_quotient_power_stops_at_zero(monkeypatch):
     """Once the running power is zero no further product is taken; a power
-    that never reaches zero takes one product a rung."""
+    that never reaches zero takes one product a rung.  The base is not a
+    linear form, so it climbs the ladder."""
     pres = _parse_space("sphere:2,2,2")
-    a = pres.ring.gen(0) + pres.ring.gen(1) + pres.ring.gen(2)
+    y0, y1, _ = pres.ring.gens()
+    a = y0 + y1 + y0 * y1
     products = []
     real = exactring._packed_mul
     monkeypatch.setattr(exactring, "_packed_mul", lambda x, y: products.append(1) or real(x, y))
-    assert pres.normal_form(a**3) == pres.ring.gen(0) * pres.ring.gen(1) * pres.ring.gen(2) * 6
-    assert len(products) == 2  # a^2, then a^2 * a
+    assert pres.normal_form(a**2) == y0 * y1 * 2
+    assert len(products) == 1  # a * a
     products.clear()
     assert pres.normal_form(a**1000).is_zero()
-    assert len(products) == 3  # a^2, a^3, then a^4 = 0 ends the climb
+    assert len(products) == 2  # a^2, then a^3 = 0 ends the climb
     # a unit term keeps every rung nonzero: (1 + c)^10000 on CP^3 climbs them all
     cp3 = _parse_space("cp3")
     c = cp3.ring.gen("c")
@@ -958,6 +960,129 @@ def test_quotient_power_stops_at_zero(monkeypatch):
     assert cp3.normal_form((cp3.ring.one() + c) ** 10000) == GradedPoly(
         cp3.ring, {Monomial.of(0, j): math.comb(10000, j) for j in range(4)})
     assert len(products) == 9999
+
+
+# -- powers of linear forms in closed form ---------------------------------------
+# A linear form in distinct generators is raised by the multinomial walk, in the
+# free ring and in every quotient by monomials whose base generators have
+# pure-power heads.  The ladder, with the walk switched off, is the oracle: same
+# terms, same values, same order.
+
+
+def mixed_head_presentation():
+    """y0^3, y1^2 and y2^2 -> 0, and the head y0*y1 -> 0 of two generators."""
+    ring = GradedRing(("y0", "y1", "y2"), (2, 2, 4))
+    heads = [Monomial.of(0, 3), Monomial.of(1, 2), Monomial.of(2, 2), Monomial.make({0: 1, 1: 1})]
+    return RingPresentation(ring, dict.fromkeys(heads, ring.zero()))
+
+
+def second_power_presentation():
+    """y0^2 -> 0 and then y0^4 -> 0, two pure-power heads of one generator, and y1^3 -> 0."""
+    ring = GradedRing(("y0", "y1"), (2, 2))
+    heads = [Monomial.of(0, 2), Monomial.of(1, 3), Monomial.of(0, 4)]
+    return RingPresentation(ring, dict.fromkeys(heads, ring.zero()))
+
+
+def linear_space(name):
+    """``cp3xs2xs4`` is the trivial CP^3 bundle over S^2 x S^4: c^4 -> 0 beside
+    the sphere heads; a CP^n alone has one generator, so no power of two terms."""
+    if name == "mixed":
+        return mixed_head_presentation()
+    if name == "second power":
+        return second_power_presentation()
+    if name == "cp3xs2xs4":
+        base = _parse_space("sphere:2,4")
+        return projective_bundle(base, [base.ring.zero()] * 4, 3)
+    return _parse_space(name)
+
+
+LINEAR_SPACES = ["sphere:2,4,6", "sphere:2,2,2,2,2", "s2xs2", "cp3xs2xs4", "mixed", "second power"]
+
+
+def linear_form(data, ring):
+    """A sum of generators, possibly repeated, with fractional and negative
+    coefficients."""
+    p = ring.zero()
+    for i in data.draw(st.lists(st.integers(0, ring.ngens - 1), min_size=2, max_size=ring.ngens + 2)):
+        c = Fraction(data.draw(st.integers(-4, 4).filter(bool)), data.draw(st.integers(1, 3)))
+        p = p + ring.gen(i).scale(c)
+    return p
+
+
+def ladder_terms(compute):
+    """``list(compute().terms.items())`` with the multinomial walk switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactring, "_linear_generators", lambda p: [])
+        return list(compute().terms.items())
+
+
+def walked_terms(compute):
+    """``list(compute().terms.items())``, checked to take no polynomial product."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactring, "_packed_mul", lambda *_: pytest.fail("a product was taken"))
+        return list(compute().terms.items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_linear_power_is_the_ladder_in_the_free_ring(data):
+    ring = GradedRing(("y0", "y1", "y2", "y3"), (2, 4, 2, 4))
+    p = linear_form(data, ring)
+    assume(len(p.terms) > 1)
+    e = data.draw(st.integers(0, 12))
+    assert walked_terms(lambda: p**e) == ladder_terms(lambda: p**e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(LINEAR_SPACES), st.data())
+def test_linear_power_is_the_ladder_in_monomial_quotients(name, data):
+    """Exponents run past the total cap, where the power is zero."""
+    pres = linear_space(name)
+    p = linear_form(data, pres.ring)
+    assume(len(p.terms) > 1)
+    e = data.draw(st.integers(0, 9))
+    got = walked_terms(lambda: pres.normal_form(p**e))
+    assert got == ladder_terms(lambda: RingPresentation(pres.ring, pres.rules).normal_form(p**e))
+    assert got == list(monomial_normal_form(pres, fraction_pow(p, e)).terms.items())
+
+
+def test_linear_power_merges_repeated_generators_and_stops_past_the_caps():
+    ring = GradedRing(("y0", "y1"), (2, 4))
+    p = parse_poly(ring, "y0 + 2*y0 + y1")
+    assert p == parse_poly(ring, "3*y0 + y1")
+    assert walked_terms(lambda: p**3) == ladder_terms(lambda: p**3) == list(
+        parse_poly(ring, "27*y0^3 + 27*y0^2*y1 + 9*y0*y1^2 + y1^3").terms.items())
+    # the caps add to 3 on S^2 x S^4 x S^6 and to 4 with y0*y1 -> 0 beside them
+    spheres = _parse_space("sphere:2,4,6")
+    y0, y1, y2 = spheres.ring.gens()
+    assert walked_terms(lambda: spheres.normal_form((y0 + y1 + y2) ** 4)) == []
+    mixed = mixed_head_presentation()
+    y0, y1, y2 = mixed.ring.gens()
+    assert walked_terms(lambda: mixed.normal_form((y0 - y1 + y2) ** 4)) == []
+    assert walked_terms(lambda: mixed.normal_form((y0 - y1 + y2) ** 3)) == [(Monomial.make({0: 2, 2: 1}), 3)]
+
+
+def test_other_bases_still_climb_the_ladder(monkeypatch):
+    """A constant term, a generator to a higher power, a rule with terms on
+    the right (P(E) over S^4) or a generator without a pure-power head keep the
+    ladder."""
+    walks = []
+    real = exactring._linear_power
+    monkeypatch.setattr(exactring, "_linear_power", lambda *args: walks.append(1) or real(*args))
+    spheres = _parse_space("sphere:2,2,2")
+    y0, y1, _ = spheres.ring.gens()
+    pe22 = _parse_space("pe:2,2")
+    c, b = pe22.ring.gens()
+    ring = GradedRing(("x", "y"), (2, 2))
+    x, y = ring.gens()
+    free_y = RingPresentation(ring, {Monomial.of(0, 2): ring.zero()})
+    assert spheres.normal_form((spheres.ring.one() + y0 + y1) ** 3) == spheres.ring.one() + (y0 + y1).scale(3) + y0 * y1 * 6
+    assert spheres.normal_form((y0 + y1 * y1) ** 2) == GradedPoly(spheres.ring, {})
+    assert pe22.normal_form((c + b) ** 3) == monomial_normal_form(pe22, fraction_pow(c + b, 3))
+    assert free_y.normal_form((x + y) ** 3) == (y**3 + x * y * y * 3)
+    assert ((x + ring.one()) ** 3).terms and ((x + y * y) ** 3).terms
+    assert walks == []
+    assert spheres.normal_form((y0 + y1) ** 2) == y0 * y1 * 2 and walks == [1]
 
 
 # -- zero rules and the power ladder ---------------------------------------------
