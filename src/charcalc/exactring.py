@@ -27,6 +27,7 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -53,16 +54,11 @@ __all__ = [
     "parse_poly",
     "parse_rational",
     "format_rational",
-    "REWRITE_LIMIT",
 ]
 
 # Reduced form, positive denominator, arbitrary precision: exactly what
 # fractions.Fraction guarantees, so that is the Rational type.
 Rational = Fraction
-
-# Rule applications allowed per normal_form call before declaring the rule
-# set non-terminating.  Desk-scale inputs stay far below this.
-REWRITE_LIMIT = 10**6
 
 
 class CharcalcError(Exception):
@@ -78,7 +74,7 @@ class RingMismatchError(CharcalcError):
 
 
 class PresentationError(CharcalcError):
-    """A rewrite presentation is malformed, non-terminating or inconsistent."""
+    """A rewrite presentation is malformed or inconsistent."""
 
 
 class BasisError(CharcalcError):
@@ -289,15 +285,6 @@ class Monomial:
 
     def divides(self, other: "Monomial") -> bool:
         return all(other.exponent(i) >= e for i, e in self.exps)
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        quotient = dict(self.exps)
-        for i, e in other.exps:
-            left = quotient.get(i, 0) - e
-            if left < 0:
-                raise InvalidInputError(f"{other} does not divide {self}")
-            quotient[i] = left
-        return Monomial.make(quotient)
 
     def dense(self, ring: GradedRing) -> tuple[int, ...]:
         vector = [0] * ring.ngens
@@ -579,13 +566,12 @@ def _linear_generators(p: GradedPoly) -> list[int]:
     return gens if len(gens) == len(p.terms) else []
 
 
-def _linear_power(base: dict[int, int], exponent: int, caps=None, find=None) -> dict[int, int]:
+def _linear_power(base: dict[int, int], exponent: int, caps=None) -> dict[int, int]:
     """The numerators of ``(sum n_i u_i) ** exponent`` for ``base = {u_i: n_i}``, each
     u_i the packed key of a distinct generator: u^a for each |a| = exponent, with
     exponent!/prod(a_i!) * prod(n_i ** a_i).  The walk fixes a_1, then a_2, ...,
     each from largest to smallest: the order in which the ladder first meets the
-    terms.  ``caps[i]`` bounds a_i, a branch the later caps cannot fill ends, and
-    a prefix that ``find`` divides by a head is dropped with its multiples."""
+    terms.  ``caps[i]`` bounds a_i, and a branch the later caps cannot fill ends."""
     gens = [(u, [n**a for a in range(min(cap, exponent) + 1)], cap)
             for (u, n), cap in zip(base.items(), caps or itertools.repeat(exponent)) if cap]
     room = list(itertools.accumulate([cap for *_, cap in reversed(gens)], initial=0))[::-1]
@@ -593,7 +579,7 @@ def _linear_power(base: dict[int, int], exponent: int, caps=None, find=None) -> 
 
     def walk(start: int, left: int, key: int, c: int) -> None:
         # the terms key * u^b, |b| = left, b zero before start; leaves at a == left
-        if left == 1 and find is None:
+        if left == 1:
             for u, powers, _ in gens[start:]:
                 out[key + u] = c * powers[1]
             return
@@ -603,8 +589,6 @@ def _linear_power(base: dict[int, int], exponent: int, caps=None, find=None) -> 
             u, powers, cap = gens[j]
             for a in range(min(left, cap), max(left - room[j + 1], 1) - 1, -1):
                 k = key + a * u
-                if find is not None and find(k) is not None:
-                    continue
                 if a == left:
                     out[k] = c * powers[a]
                 else:
@@ -745,8 +729,9 @@ class _Rewriter:
     reaches an exponent its field cannot hold.  Right-hand sides are cleared
     of denominators once; ``cache`` maps a key to its normal form as integer
     numerators by output key over one positive denominator, and ``monomials``
-    turns output keys back into ``Monomial``s.  If every rule is m -> 0, ``caps``
-    maps the generator of each pure-power head y^(c+1) to c; else it is None.
+    turns output keys back into ``Monomial``s.  If the rules are y^(c+1) -> 0,
+    at most one per generator y, ``caps`` maps each such y to c; else it is
+    None.
     """
 
     def __init__(self, pres: "RingPresentation", degree: int):
@@ -755,22 +740,18 @@ class _Rewriter:
         self.rules = {heads.key(lhs): heads.pack(rhs) for lhs, rhs in pres.rules.items()}
         for head in self.rules:
             heads.add(head)
-        self.caps = None if any(rhs for rhs, _ in self.rules.values()) else {
-            lhs.exps[0][0]: lhs.exps[0][1] - 1 for lhs in pres.rules if len(lhs.exps) == 1}
+        caps = {lhs.exps[0][0]: lhs.exps[0][1] - 1
+                for lhs, rhs in pres.rules.items() if len(lhs.exps) == 1 and not rhs.terms}
+        self.caps = caps if len(caps) == len(pres.rules) else None
         self.cache: dict[int, tuple[dict[int, int], int]] = {}
         self.monomials: dict[int, Monomial] = {}
 
-    def combine(
-        self, pairs: Iterable[tuple[int, int]], budget: list[int] | None = None
-    ) -> tuple[dict[int, int], int]:
+    def combine(self, pairs: Iterable[tuple[int, int]]) -> tuple[dict[int, int], int]:
         """``sum(n * NF(key))`` over ``pairs``, as integer numerators by output
-        key over one positive denominator.  One ``budget`` of rule applications,
-        ``REWRITE_LIMIT`` unless given, covers every key."""
+        key over one positive denominator."""
         pairs = list(pairs)
-        if budget is None:
-            budget = [REWRITE_LIMIT]
         cache = self.cache
-        parts = [cache.get(key) or self._reduce(key, budget) for key, _ in pairs]
+        parts = [cache.get(key) or self._reduce(key) for key, _ in pairs]
         den = math.lcm(*[d for _, d in parts])
         acc: dict[int, int] = {}
         get = acc.get
@@ -781,19 +762,16 @@ class _Rewriter:
                 acc[key] = get(key, 0) + n * t
         return {key: t for key, t in acc.items() if t}, den
 
-    def powers(
-        self, base: dict[int, int], den: int, budget: list[int] | None = None
-    ) -> Iterator[tuple[dict[int, int], int]]:
+    def powers(self, base: dict[int, int], den: int) -> Iterator[tuple[dict[int, int], int]]:
         """NF(a), NF(a**2), ... lazily, each as ``combine`` gives it, from NF(a) =
-        ``base`` over ``den``: every rung is NF(previous rung * NF(a)), and each
-        ``combine`` draws on ``budget``."""
+        ``base`` over ``den``: every rung is NF(previous rung * NF(a))."""
         rung, rung_den = base, den
         while True:
             yield rung, rung_den
-            rung, nf_den = self.combine(_packed_mul(rung, base).items(), budget)
+            rung, nf_den = self.combine(_packed_mul(rung, base).items())
             rung_den *= den * nf_den
 
-    def _reduce(self, key: int, budget: list[int]) -> tuple[dict[int, int], int]:
+    def _reduce(self, key: int) -> tuple[dict[int, int], int]:
         cache, find, rules = self.cache, self.heads.find, self.rules
         stack = [key]
         while stack:
@@ -807,12 +785,6 @@ class _Rewriter:
                 stack.pop()
                 continue
             rhs, rhs_den = rules[head]
-            # charged before the children are reduced, so a cycle runs it out
-            budget[0] -= 1 + len(rhs)
-            if budget[0] < 0:
-                raise PresentationError(
-                    f"rewriting exceeded {REWRITE_LIMIT} applications; rule set treated as non-terminating"
-                )
             if not rhs:  # m -> 0: nothing to combine
                 cache[m] = ({}, 1)
                 stack.pop()
@@ -823,7 +795,7 @@ class _Rewriter:
             if missing:
                 stack.extend(missing)
                 continue
-            terms, den = self.combine(children, budget)
+            terms, den = self.combine(children)
             den *= rhs_den
             if den != 1 and (g := math.gcd(den, *terms.values())) != 1:
                 terms, den = {k: t // g for k, t in terms.items()}, den // g
@@ -848,21 +820,25 @@ class _Rewriter:
 class RingPresentation:
     """A graded ring together with an oriented, terminating rewrite system.
 
-    ``rules`` maps a leading monomial to its replacement; every replacement is
-    degree-homogeneous of the same degree and strictly smaller in graded lex,
-    which makes rewriting terminate.  ``fiber_basis``, when present, is the
-    ordered Leray-Hirsch basis ``b_0 = 1, ..., b_N`` with ``b_N`` the top
-    fiber class; the generators appearing in it are the fiber directions and
-    everything else is treated as pulled back from the base.  ``basis``, when
-    present, lists every monomial no rule divides, by ascending degree and
-    largest first within a degree; ``basis_by_degree`` groups it by degree.
+    ``rules`` maps a leading monomial to its replacement.  The constructor
+    checks that every replacement is degree-homogeneous of the same degree and
+    strictly smaller in graded lex, and ``rules`` is a read-only view of the
+    rules it checked.  Graded lex is a monomial order with finitely many
+    monomials in each degree, so rewriting terminates on every input.
+
+    ``fiber_basis``, when present, is the ordered Leray-Hirsch basis
+    ``b_0 = 1, ..., b_N`` with ``b_N`` the top fiber class; the generators
+    appearing in it are the fiber directions and everything else is treated as
+    pulled back from the base.  ``basis``, when present, lists every monomial
+    no rule divides, by ascending degree and largest first within a degree;
+    ``basis_by_degree`` groups it by degree.
 
     Normal forms are taken to be unique, as for every presentation ``flagcoh``
     builds; then NF(ab) = NF(NF(a) NF(b)), and powers are reduced in the quotient.
 
     Instances are immutable after construction apart from the packed
     rewriting kernel and its cache of monomial normal forms, built on first
-    use.
+    use; assigning to ``rules[m]`` raises ``TypeError``.
     """
 
     def __init__(
@@ -876,7 +852,7 @@ class RingPresentation:
         basis: Sequence[Monomial] | None = None,
     ):
         self.ring = ring
-        self.rules = dict(rules)
+        self.rules = MappingProxyType(dict(rules))
         self.relations = tuple(relations)
         self.family = family
         self.top_degree = top_degree
@@ -937,22 +913,19 @@ class RingPresentation:
     def _reduced(self, p: GradedPoly, degree: int = 0) -> tuple[_Rewriter, dict[int, int], int]:
         """The kernel, fit for ``p`` and for keys up to ``degree``, and NF(p) as
         integer numerators by key over one positive denominator.  A deferred
-        power is never expanded.  If every rule is m -> 0 and its base is a linear
-        form in generators with pure-power heads (sphere products, CP^n), it is
-        ``_linear_power`` under the heads' caps.  Otherwise it climbs the ladder
-        of its reduced base, one product and normal form a rung under one rewrite
-        budget, stopping at the first zero rung, which a base with a constant
-        term never reaches."""
+        power is never expanded.  If the kernel has ``caps`` (sphere products,
+        CP^n) and its base is a linear form in capped generators, it is
+        ``_linear_power`` under the caps.  Otherwise it climbs the ladder of its
+        reduced base, one product and normal form a rung, stopping at the first
+        zero rung, which a base with a constant term never reaches."""
         base, e = (p.base, p.exponent) if p.__class__ is _Power else (p, 1)
         kernel = self._rewriter(max(p.degree(), degree))
         packed, den = kernel.heads.pack(base)
-        caps = kernel.caps  # a head no cap stands for is filtered by find
+        caps = kernel.caps
         if caps and (gens := _linear_generators(base)) and all(i in caps for i in gens):
-            find = kernel.heads.find if len(caps) < len(kernel.rules) else None
-            return kernel, _linear_power(packed, e, [caps[i] for i in gens], find), den**e
-        budget = [REWRITE_LIMIT]
-        base, nf_den = kernel.combine(packed.items(), budget)
-        ladder = kernel.powers(base, den * nf_den, budget)
+            return kernel, _linear_power(packed, e, [caps[i] for i in gens]), den**e
+        base, nf_den = kernel.combine(packed.items())
+        ladder = kernel.powers(base, den * nf_den)
         terms, den = {0: 1}, 1
         for terms, den in itertools.islice(ladder, e):
             if not terms:

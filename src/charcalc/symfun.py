@@ -65,16 +65,6 @@ class Partition(Frozen):
             if i and parts[i - 1] < p:
                 raise InvalidInputError("partition parts must be weakly decreasing")
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Partition:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
     @staticmethod
     def of(*parts: int) -> "Partition":
         return Partition(tuple(parts))

@@ -77,6 +77,12 @@ def first_head(pres: RingPresentation, monomial: Monomial) -> Monomial | None:
     return next((lhs for lhs in pres.rules if lhs.divides(monomial)), None)
 
 
+def monomial_quotient(m: Monomial, d: Monomial) -> Monomial:
+    """Oracle: ``m / d`` for a divisor ``d`` of ``m``."""
+    assert d.divides(m)
+    return Monomial.make({i: e - d.exponent(i) for i, e in m.exps})
+
+
 def is_reducible(pres: RingPresentation, monomial: Monomial) -> bool:
     return first_head(pres, monomial) is not None
 
@@ -108,7 +114,7 @@ def monomial_normal_form(pres: RingPresentation, p: GradedPoly) -> GradedPoly:
                 cache[m] = {m: Fraction(1)}
                 stack.pop()
                 continue
-            quotient = m / lhs
+            quotient = monomial_quotient(m, lhs)
             rhs = pres.rules[lhs]
             children = [quotient * m2 for m2 in rhs.terms]
             missing = [c for c in children if c not in cache]

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from charcalc import exactring
-from charcalc.cli import _parse_space
+from charcalc.cli import _parse_space, _trivial_bundle
 from charcalc.exactring import (
     BasisError,
     GradedPoly,
@@ -43,6 +43,7 @@ from conftest import (
     fraction_rule_presentation,
     kept_row_reduce,
     monomial_normal_form,
+    monomial_quotient,
     random_dense_matrix,
     random_poly,
     row_reduce,
@@ -316,7 +317,7 @@ def test_head_index_layout_contract(data):
         divides = a.divides(m)
         assert probe.find(heads.key(m)) == (heads.key(a) if divides else None)
         if divides:
-            assert heads.key(m) - heads.key(a) == heads.key(m / a)
+            assert heads.key(m) - heads.key(a) == heads.key(monomial_quotient(m, a))
 
     p = GradedPoly(ring, {
         monomial(heads.capacity): Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 12)))
@@ -414,7 +415,7 @@ def old_normal_form(pres, p):
             if lhs is None:
                 cache[m] = GradedPoly(pres.ring, {m: Fraction(1)})
             else:
-                quotient = m / lhs
+                quotient = monomial_quotient(m, lhs)
                 acc = pres.ring.zero()
                 for m2, c2 in pres.rules[lhs].terms.items():
                     acc = old_add(acc, old_scale(reduce(old_monomial_mul(quotient, m2)), c2))
@@ -484,8 +485,6 @@ def test_monomial_is_a_plain_value_class():
         Monomial.make({0: -1})
     with pytest.raises(InvalidInputError):
         Monomial.of(0, -1)
-    with pytest.raises(InvalidInputError):
-        Monomial.of(0) / Monomial.of(1)
 
 
 def test_cancelled_terms_are_dropped(xy):
@@ -505,16 +504,6 @@ def test_public_constructor_still_validates(xy):
         xy.gen(0).scale(0.5)
     p = GradedPoly(xy, {m: 3, Monomial.of(1): 0})
     assert p.terms == {m: Fraction(3)} and type(p.terms[m]) is Fraction
-
-
-def test_rewrite_limit_still_bounds_rewriting(monkeypatch):
-    pres = _parse_space("gr:3,3")
-    p = pres.ring.gen(0) ** 7
-    expected = old_normal_form(pres, p)
-    assert normal_form(p, RingPresentation(pres.ring, pres.rules)) == expected
-    monkeypatch.setattr(exactring, "REWRITE_LIMIT", 3)
-    with pytest.raises(PresentationError, match="exceeded 3 applications"):
-        normal_form(p, RingPresentation(pres.ring, pres.rules))
 
 
 # -- the packed rewriting kernel against the Monomial-keyed oracle ---------------
@@ -591,15 +580,25 @@ def test_fraction_rules_take_the_denominator_path():
     assert any(den > 1 for _, den in cache.values())
 
 
-def test_rewrite_limit_stops_a_cycle(monkeypatch):
-    """A rule set that is not terminating runs out of rule applications."""
-    ring = GradedRing(("x", "y"), (2, 2))
-    x, y = ring.gens()
-    pres = RingPresentation(ring, {Monomial.of(0, 2): y * y})
-    pres.rules[Monomial.of(1, 2)] = x * x  # undoes the first rule
-    monkeypatch.setattr(exactring, "REWRITE_LIMIT", 1000)
-    with pytest.raises(PresentationError, match="exceeded 1000 applications"):
-        pres.normal_form(x * x)
+def test_rules_are_read_only_and_a_cycle_is_refused():
+    """The constructor checks every rule once: ``rules`` cannot be edited
+    afterwards, editing the dict it was given changes nothing, and a rule
+    that undoes another, beside a zero rule or not, does not lower the order."""
+    ring = GradedRing(("x", "y", "z"), (2, 2, 2))
+    x, y, z = ring.gens()
+    given = {Monomial.of(0, 2): y * y}
+    pres = RingPresentation(ring, given)
+    with pytest.raises(TypeError):
+        pres.rules[Monomial.of(1, 2)] = x * x
+    with pytest.raises(TypeError):
+        del pres.rules[Monomial.of(0, 2)]
+    given[Monomial.of(1, 2)] = x * x
+    assert list(pres.rules) == [Monomial.of(0, 2)]
+    assert pres.normal_form(x * x) == y * y
+    cycle = {Monomial.of(0, 2): y * y, Monomial.of(1, 2): x * x}
+    for rules in (cycle, {Monomial.of(2, 2): ring.zero(), **cycle}):
+        with pytest.raises(PresentationError, match="y\\^2 does not decrease the monomial order"):
+            RingPresentation(ring, rules)
 
 
 @pytest.mark.parametrize("space", ["gr:3,3", "flag:3,2,1", "pe:2,2", "sphere:2,4"])
@@ -921,23 +920,6 @@ def test_quotient_powers_never_expand(monkeypatch):
     assert not hard_lefschetz_check(s3, y0 + y1, 3)
 
 
-def test_quotient_power_shares_one_rewrite_budget(monkeypatch):
-    pres = _parse_space("gr:3,3")
-    y1, y2 = pres.ring.gen("y1"), pres.ring.gen("y2")
-    want = monomial_normal_form(pres, fraction_pow(y1 + y2, 7))
-    assert normal_form((y1 + y2) ** 7, RingPresentation(pres.ring, pres.rules)) == want
-    budgets = []
-    combine = exactring._Rewriter.combine
-    monkeypatch.setattr(exactring._Rewriter, "combine",
-                        lambda self, pairs, budget=None: budgets.append(budget) or combine(self, pairs, budget))
-    assert normal_form((y1 + y2) ** 7, RingPresentation(pres.ring, pres.rules)) == want
-    assert len(budgets) > 4 and all(b is budgets[0] for b in budgets)
-    monkeypatch.undo()
-    monkeypatch.setattr(exactring, "REWRITE_LIMIT", 3)
-    with pytest.raises(PresentationError, match="exceeded 3 applications"):
-        normal_form((y1 + y2) ** 7, RingPresentation(pres.ring, pres.rules))
-
-
 def test_quotient_power_stops_at_zero(monkeypatch):
     """Once the running power is zero no further product is taken; a power
     that never reaches zero takes one product a rung.  The base is not a
@@ -986,17 +968,13 @@ def second_power_presentation():
 def linear_space(name):
     """``cp3xs2xs4`` is the trivial CP^3 bundle over S^2 x S^4: c^4 -> 0 beside
     the sphere heads; a CP^n alone has one generator, so no power of two terms."""
-    if name == "mixed":
-        return mixed_head_presentation()
-    if name == "second power":
-        return second_power_presentation()
     if name == "cp3xs2xs4":
         base = _parse_space("sphere:2,4")
         return projective_bundle(base, [base.ring.zero()] * 4, 3)
     return _parse_space(name)
 
 
-LINEAR_SPACES = ["sphere:2,4,6", "sphere:2,2,2,2,2", "s2xs2", "cp3xs2xs4", "mixed", "second power"]
+LINEAR_SPACES = ["sphere:2,4,6", "sphere:2,2,2,2,2", "s2xs2", "cp3xs2xs4"]
 
 
 def linear_form(data, ring):
@@ -1052,19 +1030,16 @@ def test_linear_power_merges_repeated_generators_and_stops_past_the_caps():
     assert p == parse_poly(ring, "3*y0 + y1")
     assert walked_terms(lambda: p**3) == ladder_terms(lambda: p**3) == list(
         parse_poly(ring, "27*y0^3 + 27*y0^2*y1 + 9*y0*y1^2 + y1^3").terms.items())
-    # the caps add to 3 on S^2 x S^4 x S^6 and to 4 with y0*y1 -> 0 beside them
+    # the caps add to 3 on S^2 x S^4 x S^6
     spheres = _parse_space("sphere:2,4,6")
     y0, y1, y2 = spheres.ring.gens()
     assert walked_terms(lambda: spheres.normal_form((y0 + y1 + y2) ** 4)) == []
-    mixed = mixed_head_presentation()
-    y0, y1, y2 = mixed.ring.gens()
-    assert walked_terms(lambda: mixed.normal_form((y0 - y1 + y2) ** 4)) == []
-    assert walked_terms(lambda: mixed.normal_form((y0 - y1 + y2) ** 3)) == [(Monomial.make({0: 2, 2: 1}), 3)]
 
 
 def test_other_bases_still_climb_the_ladder(monkeypatch):
     """A constant term, a generator to a higher power, a rule with terms on
-    the right (P(E) over S^4) or a generator without a pure-power head keep the
+    the right (P(E) over S^4), a generator without a pure-power head, a head of
+    two generators (y0*y1 -> 0) or two powers of one generator keep the
     ladder."""
     walks = []
     real = exactring._linear_power
@@ -1081,8 +1056,30 @@ def test_other_bases_still_climb_the_ladder(monkeypatch):
     assert pe22.normal_form((c + b) ** 3) == monomial_normal_form(pe22, fraction_pow(c + b, 3))
     assert free_y.normal_form((x + y) ** 3) == (y**3 + x * y * y * 3)
     assert ((x + ring.one()) ** 3).terms and ((x + y * y) ** 3).terms
+    mixed = mixed_head_presentation()
+    u0, u1, u2 = mixed.ring.gens()
+    assert mixed.normal_form((u0 - u1 + u2) ** 4).is_zero()
+    assert list(mixed.normal_form((u0 - u1 + u2) ** 3).terms.items()) == [(Monomial.make({0: 2, 2: 1}), 3)]
+    second = second_power_presentation()
+    v0, v1 = second.ring.gens()
+    for pres, p in ((mixed, u0.scale(Fraction(-1, 2)) + u1 * 3 + u2), (second, v0 - v1.scale(2))):
+        for e in range(6):
+            assert pres.normal_form(p**e) == monomial_normal_form(pres, fraction_pow(p, e))
     assert walks == []
     assert spheres.normal_form((y0 + y1) ** 2) == y0 * y1 * 2 and walks == [1]
+
+
+def test_built_spaces_cap_every_rule_or_none():
+    """Every built space whose rules are all m -> 0 has one pure-power head per
+    capped generator, so the walk needs no rule lookup; the others climb."""
+    capped = {"point", "s2xs2", "sphere:2,4,6", "cp3", "cpn:2", "trivial"}
+    for name in ["point", "s2xs2", "sphere:2,4,6", "cp3", "cpn:2", "gr:2,3", "flag:2,1,1", "pe:2,2", "trivial"]:
+        pres = _trivial_bundle(2, 2) if name == "trivial" else _parse_space(name)
+        caps = pres._rewriter(0).caps
+        assert (caps is not None) == (name in capped), name
+        if caps is not None:
+            assert len(caps) == len(pres.rules)
+            assert all(Monomial.of(i, c + 1) in pres.rules for i, c in caps.items())
 
 
 # -- zero rules and the power ladder ---------------------------------------------
@@ -1102,7 +1099,7 @@ def test_zero_rules_rewrite_without_a_nested_combine(monkeypatch):
     calls = []
     combine = exactring._Rewriter.combine
     monkeypatch.setattr(exactring._Rewriter, "combine",
-                        lambda self, pairs, budget=None: calls.append(1) or combine(self, pairs, budget))
+                        lambda self, pairs: calls.append(1) or combine(self, pairs))
     pres = zero_rule_presentation()
     x, y = pres.ring.gens()
     p = x * x + x * x * y * Fraction(1, 2) + x * x * y ** 3 * 5
@@ -1111,28 +1108,6 @@ def test_zero_rules_rewrite_without_a_nested_combine(monkeypatch):
     calls.clear()
     assert pres.normal_form(x * y * y) == (y ** 3).scale(3) and len(calls) == 2
     assert monomial_normal_form(pres, p + x * y * y) == pres.normal_form(p + x * y * y)
-
-
-def test_zero_rules_are_charged_one_application(monkeypatch):
-    """Each cold key a zero rule rewrites costs one application, so the
-    budget counts them; a cycle beside a zero rule still runs it out."""
-    ring = zero_rule_presentation().ring
-    x, y = ring.gens()
-    p = ring.zero()
-    for j in range(6):
-        p = p + x * x * y ** j
-    monkeypatch.setattr(exactring, "REWRITE_LIMIT", 6)
-    assert zero_rule_presentation().normal_form(p).is_zero()
-    monkeypatch.setattr(exactring, "REWRITE_LIMIT", 5)
-    with pytest.raises(PresentationError, match="exceeded 5 applications"):
-        zero_rule_presentation().normal_form(p)
-    ring = GradedRing(("x", "y", "z"), (2, 2, 2))
-    x, y, z = ring.gens()
-    pres = RingPresentation(ring, {Monomial.of(2, 2): ring.zero(), Monomial.of(0, 2): y * y})
-    pres.rules[Monomial.of(1, 2)] = x * x  # undoes the second rule
-    monkeypatch.setattr(exactring, "REWRITE_LIMIT", 1000)
-    with pytest.raises(PresentationError, match="exceeded 1000 applications"):
-        pres.normal_form(z * z + x * x)
 
 
 def assert_positive_multiple(row, want):
