@@ -585,7 +585,7 @@ def test_rules_are_read_only_and_a_cycle_is_refused():
     afterwards, editing the dict it was given changes nothing, and a rule
     that undoes another, beside a zero rule or not, does not lower the order."""
     ring = GradedRing(("x", "y", "z"), (2, 2, 2))
-    x, y, z = ring.gens()
+    x, y, _ = ring.gens()
     given = {Monomial.of(0, 2): y * y}
     pres = RingPresentation(ring, given)
     with pytest.raises(TypeError):
